@@ -29,7 +29,7 @@ from .diagram import (
     Diagram, DiagramError, TypedDiagram, mark_root, star_for,
 )
 from .generate import enumerate_closed
-from .iso import aut_order, canonical_code
+from .iso import aut_order
 from .poly import Poly
 from .prop import closures
 from .series import (
@@ -387,8 +387,8 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
                                  weight=lambda rep: amplitude(rep, a))
     marked = mark_root(g)
     total = Fraction(0)
-    for rep, _ in closures(marked):
-        total += Fraction(amplitude(rep, a)) / canonical_code(rep).aut_order
+    for rep, _, aut in closures(marked):
+        total += Fraction(amplitude(rep, a)) / aut
     return MultiSeries.constant(total, max_degree)
 
 

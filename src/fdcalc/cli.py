@@ -85,9 +85,8 @@ def _cmd_closures(args):
     if isinstance(d, TypedDiagram):
         d = d.base
     found = []
-    for closed, mult in closures(d):
-        found.append((mult, canonical_code(closed).aut_order,
-                      _one_line(closed)))
+    for closed, mult, aut in closures(d):
+        found.append((mult, aut, _one_line(closed)))
     found.sort(key=lambda row: (row[2], row[0]))
     rows = [list(row) for row in found]
     obj = {"closures": [{"multiplicity": m, "aut": a, "diagram": s}

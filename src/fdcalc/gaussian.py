@@ -22,10 +22,10 @@ from numpy.polynomial.hermite import hermgauss
 from .algebra import (AlgebraSpec, amplitude, expectation_value,
                       leg_polynomial, interaction_terms)
 from .colours import standard_table
-from .diagram import Diagram, Vertex
+from .diagram import Diagram, Vertex, degree
 from .iso import canonical_code
 from .poly import Poly
-from .series import DEFAULT_DEGREE, MultiSeries, Monomial
+from .series import DEFAULT_DEGREE, MultiSeries, Monomial, diagram_monomial
 
 WICK_LIMIT = 12
 QUAD_DIM_LIMIT = 4
@@ -296,13 +296,17 @@ def frt_check(g: Diagram, a: AlgebraSpec, *, with_potential: bool = False,
     aut = canonical_code(g).aut_order
     f = leg_polynomial(g, a) * Fraction(1, aut)
     if with_potential:
-        grades = {key: key.grade for key, _ in interaction_terms(a)}
+        # The left side grades g's own ordinary vertices as couplings, so the
+        # right side carries g's monomial and leaves the rest of the degree
+        # bound to the potential.
         keys = [key for key, _ in interaction_terms(a)]
+        budget = max_degree - degree(g)
 
         def keep(ev):
-            return sum(e * grades[k] for k, e in zip(keys, ev)) <= max_degree
+            return sum(e * k.grade for k, e in zip(keys, ev)) <= budget
 
-        rhs = MultiSeries(_potential_expansion(f, a, keep), max_degree)
+        rhs = (MultiSeries({diagram_monomial(g, a.table): 1}, max_degree)
+               * MultiSeries(_potential_expansion(f, a, keep), max_degree))
     else:
         gauss = GaussianSpec(a.dim, a.pairing.tolist())
         rhs = MultiSeries.constant(Fraction(poly_average(f, gauss)),

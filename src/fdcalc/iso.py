@@ -7,17 +7,37 @@ arbitrary permutation.  Untyped diagrams may permute legs; typed diagrams
 must fix every numbered endpoint.  Rooted diagrams must map the marked
 sub-diagram onto itself.
 
-``canonical_code`` computes a complete invariant by searching over the
-admissible labellings of a diagram: vertices are ordered class by class
-(classes come from an iterated neighbourhood refinement and are themselves
-isomorphism-invariant), each placed vertex emits an encoding block, and the
-lexicographically least full encoding is the code.  The search counts every
-labelling that attains the least encoding; since two labellings produce
-identical encodings exactly when they differ by an automorphism, that count
-*is* the automorphism order.  Slot arrangements that cannot influence the
-remainder of the encoding (legs of untyped diagrams, both halves of a loop
-closed within its own block) are not branched over but folded into a
-multiplicity, which keeps the tree small on highly symmetric diagrams.
+``canonical_code`` runs an individualisation-refinement search on the slot
+half-edges, after McKay & Piperno, *Practical graph isomorphism II* (J. Symb.
+Comput. 2014) and Junttila & Kaski's *bliss* (ALENEX 2007).
+
+* A half-edge's initial colour holds its vertex's kind, ``n_in``, colour,
+  special and root flags and valence, its coupon position, its endpoint
+  number (typed legs), leg mark or edge mark (root edge or not), and the
+  size of its bundle: the number of edges joining the same two vertices
+  (loops apart), or of legs on its vertex.
+* Refinement splits colour cells until the partition is equitable: two
+  half-edges keep one colour only while their partners, their successors and
+  predecessors round a cyclic or coupon vertex, and the colour multisets of
+  their symmetric vertices agree.  Partner, successor and predecessor are
+  functions, so one round is a sort of short tuples of neighbour colours.
+  A colour is the index at which its cell starts in the ordered partition.
+* While a cell has several members, the search individualises each member
+  in turn and refines again.  Every branch ends in a discrete partition, a
+  numbering of the half-edges, and the least form of the diagram under these
+  numberings, with the sorted initial colours, is the code.
+* Two leaves with equal forms differ by an automorphism.  A node skips the
+  children that an automorphism fixing its branch maps onto a child already
+  searched, and a leaf equal to the first or the best leaf abandons the
+  search back to the node where the two branches split.  |Aut| is the product
+  over the first branch of the orbit of each individualised half-edge under
+  the automorphisms that fix the ones individualised above it
+  (orbit-stabiliser).
+
+Valence-0 vertices and untyped bare edges own no slots.  They enter the code
+as counts, and |Aut| gains k! for each group of k equal valence-0 vertices
+and b!·2^b for b untyped bare edges.  Typed bare edges are fixed by their
+endpoint numbers.
 
 ``aut_order_bruteforce`` is an independent oracle: it enumerates candidate
 vertex bijections extended by explicit slot bijections and counts the maps
@@ -27,10 +47,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import Diagram, TypedDiagram
+
+# Census and wiring runs see few repeated diagrams, so a small cache keeps
+# memory flat without costing hits.
+CODE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -43,174 +69,215 @@ class CanonicalCode:
         return self.code.hex()
 
 
-def _cmp(a: list[str], b: list[str]) -> int:
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return (len(a) > len(b)) - (len(a) < len(b))
-
-
-def _leg_tokens(t: TypedDiagram) -> dict[int, str]:
-    tok = {h: f"i{k:03d}" for k, h in enumerate(t.ins, 1)}
-    tok.update({h: f"o{k:03d}" for k, h in enumerate(t.outs, 1)})
+def _leg_tokens(t: TypedDiagram) -> dict[int, int]:
+    """Endpoint numbers as half-edge tags: input k is 2k+1, output k is 2k+2
+    (0, 1 and 2 tag untyped legs, edges and root edges)."""
+    tok = {h: 2 * k + 1 for k, h in enumerate(t.ins, 1)}
+    tok.update({h: 2 * k + 2 for k, h in enumerate(t.outs, 1)})
     return tok
 
 
-def _slot_orders(v) -> tuple[tuple[int, ...], ...]:
-    if v.kind == "coupon":
-        return (v.slots,)
-    if v.kind == "cyclic":
-        n = v.valence
-        return tuple(v.slots[i:] + v.slots[:i] for i in range(n)) or (v.slots,)
-    return tuple(itertools.permutations(v.slots))
-
-
-def _vertex_classes(d: Diagram, leg_tok: dict[int, str]) -> tuple[list[list[int]], list[int]]:
-    """Isomorphism-invariant ordered partition of the vertex indices."""
-    owner = d.vertex_of
-    partner = d.partner
-    rp = d.root_pairs
-
-    def rflag(h: int, p: int) -> str:
-        return "R" if (min(h, p), max(h, p)) in rp else ""
-
-    keys: list[str] = []
-    for i, v in enumerate(d.vertices):
-        prof = []
-        for h in v.slots:
-            p = partner.get(h)
-            if p is None:
-                prof.append("L" + leg_tok.get(h, ""))
-            elif owner(p) == i:
-                prof.append("S" + rflag(h, p))
-            else:
-                w = d.vertices[owner(p)]
-                prof.append("E" + rflag(h, p) + w.kind + "/" + w.colour)
-        if v.kind == "coupon":
-            shaped = tuple(prof)
-        elif v.kind == "cyclic":
-            shaped = min((tuple(prof[i:] + prof[:i]) for i in range(len(prof))), default=())
+def _refine(col: list[int], cells: int, part: list[int], nxt: list[int],
+            prv: list[int], grp: list[int], groups: list[range]
+            ) -> tuple[list[int], int]:
+    """Split cells until none splits.  ``col`` maps each half-edge to the
+    start of its cell and ends in a -1 that the -1 neighbour indices read."""
+    n = len(part)
+    items = range(n)
+    while cells < n:
+        get = col.__getitem__
+        if groups:
+            vk = [tuple(sorted(map(get, g))) for g in groups]
+            vk.append(())
+            keys = list(zip(col, map(get, part), map(get, nxt), map(get, prv),
+                            map(vk.__getitem__, grp)))
         else:
-            shaped = tuple(sorted(prof))
-        keys.append("|".join((v.kind, str(v.n_in), v.colour, str(int(v.special)),
-                              str(int(v.root)), str(v.valence), repr(shaped))))
-
-    for _ in range(3):
-        fresh = []
-        for i, v in enumerate(d.vertices):
-            nb = sorted(("S" if owner(p) == i else "E") + rflag(h, p) + "#" + keys[owner(p)]
-                        for h in v.slots
-                        for p in (partner.get(h),)
-                        if p is not None and owner(p) is not None)
-            fresh.append(keys[i] + "&" + repr(nb))
-        keys = fresh
-
-    groups: dict[str, list[int]] = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    class_members = [groups[k] for k in sorted(groups)]
-    class_of_position = [ci for ci, members in enumerate(class_members) for _ in members]
-    return class_members, class_of_position
+            keys = list(zip(col, map(get, part), map(get, nxt), map(get, prv)))
+        new = [-1] * (n + 1)
+        count = 0
+        prev = None
+        for pos, i in enumerate(sorted(items, key=keys.__getitem__)):
+            k = keys[i]
+            if k != prev:
+                prev, start = k, pos
+                count += 1
+            new[i] = start
+        if count == cells:
+            break
+        col, cells = new, count
+    return col, cells
 
 
-def _search(d: Diagram, typed: TypedDiagram | None) -> tuple[list[str], int]:
-    leg_tok = _leg_tokens(typed) if typed is not None else {}
+def _orbits(n: int, gens: list[list[int]], path: list[int]) -> list[int] | None:
+    """Orbit representative of each half-edge under the automorphisms in
+    ``gens`` that fix ``path`` pointwise; None when none of them does."""
+    fixing = [g for g in gens if all(g[p] == p for p in path)]
+    if not fixing:
+        return None
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for g in fixing:
+        for a, b in enumerate(g):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[ra] = rb
+    return [find(a) for a in range(n)]
+
+
+def _search(d: Diagram, tok: dict[int, int]) -> tuple[tuple, int]:
+    """Canonical form and automorphism count of the slot structure of ``d``."""
     partner = d.partner
-    rp = d.root_pairs
-    verts = d.vertices
-    nvert = len(verts)
-    class_members, class_of_position = _vertex_classes(d, leg_tok)
+    sigs = [(v.kind, -1 if v.n_in is None else v.n_in, v.colour, v.special,
+             v.root, len(v.slots)) for v in d.vertices]
+    kinds = sorted(set(sigs))
+    rank = {s: r for r, s in enumerate(kinds)}
+    index: dict[int, int] = {}
+    rk: list[int] = []
+    pos: list[int] = []
+    own: list[int] = []
+    nxt: list[int] = []
+    prv: list[int] = []
+    grp: list[int] = []
+    groups: list[range] = []
+    isolated: dict[int, int] = {}
+    for vi, (v, sig) in enumerate(zip(d.vertices, sigs)):
+        k = sig[5]
+        if not k:
+            isolated[rank[sig]] = isolated.get(rank[sig], 0) + 1
+            continue
+        base = len(own)
+        index.update(zip(v.slots, range(base, base + k)))
+        rk.extend([rank[sig]] * k)
+        own.extend([vi] * k)
+        if v.kind == "symmetric":
+            pos.extend([0] * k)
+            grp.extend([len(groups)] * k)
+            groups.append(range(base, base + k))
+            nxt.extend([-1] * k)
+            prv.extend([-1] * k)
+        else:
+            pos.extend(range(k) if v.kind == "coupon" else [0] * k)
+            grp.extend([-1] * k)
+            nxt.extend(base + (j + 1) % k for j in range(k))
+            prv.extend(base + (j - 1) % k for j in range(k))
+    n = len(own)
+    count = math.prod(map(math.factorial, isolated.values()))
+    layout = (tuple(kinds), tuple(sorted(isolated.items())))
+    if not n:
+        return layout + ((), ()), count
+    part = [index[partner[h]] if h in partner else -1 for h in index]
 
-    if typed is not None:
-        header = f"T|{typed.src}|{typed.tgt}"
-        wires = sorted("+".join(sorted((leg_tok[a], leg_tok[b]))) for a, b in d.bare_pairs)
-        tail = "W|" + ";".join(wires)
-    else:
-        header = "D"
-        tail = f"B|{len(d.bare_pairs)}"
+    # Tag: 0 untyped leg, 1 edge, 2 root edge, above 2 an endpoint number.
+    tags = [1 if p >= 0 else tok.get(h, 0) for h, p in zip(index, part)]
+    for a, b in d.root_pairs:
+        if a in index:
+            tags[index[a]] = tags[index[b]] = 2
+    # Bundle sizes and loop flags: refinement on half-edges cannot see that
+    # two edges join the same two vertices.
+    own.append(-1)
+    ends = list(zip(own, map(own.__getitem__, part)))
+    bundle = Counter(ends)
+    keys = list(zip(rk, pos, tags, map(bundle.__getitem__, ends),
+                    itertools.starmap(operator.eq, ends)))
+    runs = sorted(Counter(keys).items())
+    start: dict[tuple, int] = {}
+    cells = 0
+    for key, size in runs:
+        start[key] = cells
+        cells += size
+    col = list(map(start.__getitem__, keys))
+    col.append(-1)
 
-    def rflag(h: int, p: int) -> str:
-        return "R" if (min(h, p), max(h, p)) in rp else ""
+    gens: list[list[int]] = []
+    first = best = None  # (form, numbering, path) of a leaf
+    aut = 1
 
-    def make_block(v, order, labels, base_label):
-        toks: list[str] = []
-        assign: dict[int, int] = {}
-        members = set(order)
-        open_key: list[int] = []
-        for j, h in enumerate(order):
-            assign[h] = base_label + j
-            p = partner.get(h)
-            if p is None:
-                toks.append("L" + leg_tok.get(h, ""))
-            elif p in assign:
-                toks.append(f"C{assign[p]:04d}" + rflag(h, p))
-            elif p in labels:
-                toks.append(f"C{labels[p]:04d}" + rflag(h, p))
-            else:
-                toks.append("O")
-                if p not in members:
-                    open_key.append(h)
-        block = "|".join(("V", v.kind, str(v.n_in), v.colour, str(int(v.special)),
-                          str(int(v.root)), ",".join(toks)))
-        return block, tuple(open_key), assign
+    def leaf(col: list[int], path: list[int]) -> int:
+        nonlocal first, best
+        get = col.__getitem__
+        at = sorted(range(n), key=get)
+        gmin = [min(map(get, g)) for g in groups]
+        gmin.append(-1)
+        # Per position: the partner's position, then the successor's position
+        # (cyclic, coupon) or the vertex's least position (symmetric).
+        form = (tuple(map(get, map(part.__getitem__, at)))
+                + tuple(map(max, map(get, map(nxt.__getitem__, at)),
+                            map(gmin.__getitem__, map(grp.__getitem__, at)))))
+        if first is None:
+            first = best = (form, col, path[:])
+            return len(path) - 1
+        for ref_form, ref_col, ref_path in (first, best):
+            if form == ref_form:
+                gens.append([at[ref_col[i]] for i in range(n)])
+                j = 0
+                while path[j] == ref_path[j]:
+                    j += 1
+                return j
+        if form < best[0]:
+            best = (form, col, path[:])
+        return len(path) - 1
 
-    best: list[str] | None = None
-    best_count = 0
-    placed = [False] * nvert
-    labels: dict[int, int] = {}
-
-    def rec(pos: int, next_label: int, enc: list[str], mult: int):
-        nonlocal best, best_count
-        if best is not None and _cmp(enc, best[: len(enc)]) > 0:
-            return
-        if pos == nvert:
-            full = enc + [tail]
-            if best is None:
-                best, best_count = full, mult
-                return
-            c = _cmp(full, best)
-            if c < 0:
-                best, best_count = full, mult
-            elif c == 0:
-                best_count += mult
-            return
-        options: dict[str, dict[tuple, list]] = {}
-        for vidx in class_members[class_of_position[pos]]:
-            if placed[vidx]:
+    def node(col: list[int], cells: int, path: list[int], on_first: bool) -> int:
+        nonlocal aut
+        if cells == n:
+            return leaf(col, path)
+        depth = len(path)
+        ordered = sorted(col[:n])
+        c = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+        cell = [i for i in range(n) if col[i] == c]
+        tried: list[int] = []
+        known = 0
+        orb = None
+        for x in cell:
+            if tried and len(gens) != known:
+                known = len(gens)
+                orb = _orbits(n, gens, path)
+            if orb is not None and orb[x] in {orb[t] for t in tried}:
                 continue
-            v = verts[vidx]
-            for order in _slot_orders(v):
-                block, okey, assign = make_block(v, order, labels, next_label)
-                grp = options.setdefault(block, {})
-                entry = grp.get((vidx, okey))
-                if entry is None:
-                    grp[(vidx, okey)] = [1, assign]
-                else:
-                    entry[0] += 1
-        least = min(options)
-        for (vidx, _okey), (m, assign) in sorted(options[least].items()):
-            placed[vidx] = True
-            labels.update(assign)
-            rec(pos + 1, next_label + len(assign), enc + [least], mult * m)
-            for h in assign:
-                del labels[h]
-            placed[vidx] = False
+            tried.append(x)
+            new = col[:]
+            for m in cell:
+                new[m] = c + 1
+            new[x] = c
+            path.append(x)
+            back = node(*_refine(new, cells + 1, part, nxt, prv, grp, groups),
+                        path, on_first and len(tried) == 1)
+            path.pop()
+            if back < depth:
+                return back
+        if on_first:
+            orb = _orbits(n, gens, path)
+            if orb is not None:
+                aut *= orb.count(orb[cell[0]])
+        return depth - 1
 
-    rec(0, 0, [header], 1)
-    assert best is not None
-    return best, best_count
+    node(*_refine(col, len(runs), part, nxt, prv, grp, groups), [], True)
+    return layout + (tuple(runs), best[0]), count * aut
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CODE_CACHE_SIZE)
 def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
     """Complete isomorphism invariant together with the automorphism order."""
-    typed = d if isinstance(d, TypedDiagram) else None
-    base = d.base if typed is not None else d
-    sections, count = _search(base, typed)
-    if typed is None:
+    if isinstance(d, TypedDiagram):
+        base = d.base
+        tok = _leg_tokens(d)
+        head = ("T", d.src, d.tgt)
+        tail = tuple(sorted(tuple(sorted((tok[a], tok[b])))
+                            for a, b in base.bare_pairs))
+        body, count = _search(base, tok)
+    else:
+        base = d
         b = len(base.bare_pairs)
+        head, tail = ("D",), b
+        body, count = _search(base, {})
         count *= math.factorial(b) * 2 ** b
-    return CanonicalCode(";".join(sections).encode(), count)
+    return CanonicalCode(repr(head + body + (tail,)).encode(), count)
 
 
 def aut_order(d: Diagram | TypedDiagram) -> int:

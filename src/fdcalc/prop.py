@@ -9,7 +9,8 @@ circle with no vertex or endpoint on it, which the half-edge representation
 cannot hold; that raises :class:`DiagramError`.
 
 ``closures(d)`` composes a diagram against every perfect pairing of its legs
-and groups the resulting closed diagrams into isomorphism classes.
+and groups the resulting closed diagrams into isomorphism classes, each with
+its multiplicity and automorphism order.
 """
 from __future__ import annotations
 
@@ -146,9 +147,10 @@ def _pairings(items: tuple[int, ...]):
             yield ((first, second),) + more
 
 
-def closures(d: Diagram) -> list[tuple[Diagram, int]]:
+def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
     """Isomorphism classes of the closed diagrams produced by pairing off the
-    legs of ``d``, with multiplicities.  Empty when the leg count is odd."""
+    legs of ``d``, as (representative, multiplicity, |Aut|).  Empty when the
+    leg count is odd."""
     legs = d.legs
     if len(legs) % 2:
         return []
@@ -156,9 +158,9 @@ def closures(d: Diagram) -> list[tuple[Diagram, int]]:
     found: dict[bytes, list] = {}
     for p in edge_pairings(len(legs)):
         closed = compose(typed, p).base
-        key = canonical_code(closed).code
-        if key in found:
-            found[key][1] += 1
+        code = canonical_code(closed)
+        if code.code in found:
+            found[code.code][1] += 1
         else:
-            found[key] = [closed, 1]
-    return [(rep, mult) for _, (rep, mult) in sorted(found.items())]
+            found[code.code] = [closed, 1, code.aut_order]
+    return [tuple(entry) for _, entry in sorted(found.items())]

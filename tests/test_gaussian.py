@@ -14,7 +14,7 @@ from fdcalc.gaussian import (
 )
 from fdcalc.poly import Poly
 from fdcalc.prop import edge_pairings
-from fdcalc.series import partition_series
+from fdcalc.series import partition_series, variable_for
 from util import quartic_table
 
 PD2 = [[F(2), F(1)], [F(1), F(1)]]
@@ -200,6 +200,19 @@ def test_frt_odd_root_vanishes_both_ways():
     a = ones_algebra(table)
     r = frt_check(symmetric_star("Q3", 3, special=True), a)
     assert r.match and r.lhs.coeffs == {} and r.rhs.coeffs == {}
+
+
+def test_frt_ordinary_root_carries_its_own_coupling():
+    # Both sides grade the root phi4 vertex as a coupling: the coefficient of
+    # phi4^(k+1) is <x^(4k+4)> / (24^(k+1) k!) = (4k+3)!! / (24^(k+1) k!).
+    a = ones_algebra(quartic_table())
+    r = frt_check(symmetric_star("phi4", 4), a, with_potential=True,
+                  max_degree=12)
+    phi4 = variable_for(a.table, "phi4")
+    expected = {((phi4, 1),): F(1, 8), ((phi4, 2),): F(35, 192),
+                ((phi4, 3),): F(385, 1024)}
+    assert r.lhs.coeffs == r.rhs.coeffs == expected
+    assert r.match and r.diff == 0
 
 
 def test_frt_exact_on_random_two_dim_algebras():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -189,3 +190,78 @@ def _extend_slotwise(a: Diagram, b: Diagram, perm) -> bool:
         return False
 
     return rec(0, {})
+
+
+# -- factorial families ---------------------------------------------------------
+# Each |Aut| is a closed form, and a search over slot orders would need about
+# |Aut| steps to find it.
+
+def _banana(k: int) -> Diagram:
+    """Two k-valent symmetric vertices joined by k parallel edges."""
+    return Diagram((Vertex("symmetric", "p", tuple(range(k))),
+                    Vertex("symmetric", "p", tuple(range(k, 2 * k)))),
+                   frozenset((i, k + i) for i in range(k)))
+
+
+def _flower(k: int) -> Diagram:
+    """One 2k-valent symmetric vertex carrying k loops."""
+    return Diagram((Vertex("symmetric", "p", tuple(range(2 * k))),),
+                   frozenset((2 * i, 2 * i + 1) for i in range(k)))
+
+
+@pytest.mark.parametrize("d,expected", [
+    (symmetric_star("p", 10), math.factorial(10)),
+    (_banana(7), 2 * math.factorial(7)),
+    (_flower(5), 2 ** 5 * math.factorial(5)),
+    (symmetric_star("p", 30), math.factorial(30)),
+    (_banana(12), 2 * math.factorial(12)),
+    (_flower(10), 2 ** 10 * math.factorial(10)),
+], ids=["star10", "banana7", "flower5", "star30", "banana12", "flower10"])
+def test_factorial_families(d, expected):
+    assert aut_order(d) == expected
+
+
+# -- pairs that local invariants cannot separate ----------------------------------
+
+def _cycles(lengths, kind: str) -> Diagram:
+    """Disjoint cycles of 2-valent vertices of one kind and colour."""
+    verts, pairs, nid = [], [], 0
+    for n in lengths:
+        base = nid
+        for _ in range(n):
+            verts.append(Vertex(kind, "a", (nid, nid + 1)))
+            nid += 2
+        pairs += [(base + 2 * i + 1, base + 2 * ((i + 1) % n)) for i in range(n)]
+    return Diagram(tuple(verts), frozenset(pairs))
+
+
+def _cubic(edges) -> Diagram:
+    """A simple cubic graph on symmetric vertices, from its edge list."""
+    nv = 1 + max(max(e) for e in edges)
+    used = [0] * nv
+    pairs = []
+    for a, b in edges:
+        pairs.append((3 * a + used[a], 3 * b + used[b]))
+        used[a] += 1
+        used[b] += 1
+    verts = tuple(Vertex("symmetric", "a", (3 * i, 3 * i + 1, 3 * i + 2))
+                  for i in range(nv))
+    return Diagram(verts, frozenset(pairs))
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "cyclic"])
+def test_hexagon_is_not_two_triangles(kind):
+    hexagon, triangles = _cycles([6], kind), _cycles([3, 3], kind)
+    assert not are_isomorphic(hexagon, triangles)
+    # A 2-valent cyclic vertex may still swap its slots by a rotation.
+    assert aut_order(hexagon) == aut_order_bruteforce(hexagon) == 12
+    assert aut_order(triangles) == aut_order_bruteforce(triangles) == 72
+
+
+def test_prism_is_not_k33():
+    k33 = _cubic([(a, b) for a in range(3) for b in range(3, 6)])
+    prism = _cubic([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                    (0, 3), (1, 4), (2, 5)])
+    assert not are_isomorphic(k33, prism)
+    assert aut_order(k33) == 72
+    assert aut_order(prism) == 12

@@ -150,11 +150,11 @@ def test_closures_of_special_four_star():
     star = symmetric_star("x4", 4, special=True)
     out = closures(star)
     assert len(out) == 1
-    rep, mult = out[0]
+    rep, mult, aut = out[0]
     assert mult == 3
     assert rep.is_closed
     assert are_isomorphic(rep, figure_eight("x4", special=True))
-    assert aut_order(rep) == 8
+    assert aut == aut_order(rep) == 8
 
 
 def test_closures_odd_legs_empty():
@@ -162,26 +162,24 @@ def test_closures_odd_legs_empty():
 
 
 def test_closures_of_empty_diagram():
-    out = closures(EMPTY)
-    assert len(out) == 1
-    assert out[0][0] == EMPTY
-    assert out[0][1] == 1
+    assert closures(EMPTY) == [(EMPTY, 1, 1)]
 
 
 def test_closures_of_two_univalent_stars():
     d = disjoint_union(symmetric_star("a1", 1), symmetric_star("a1", 1))
     out = closures(d)
     assert len(out) == 1
-    rep, mult = out[0]
+    rep, mult, aut = out[0]
     assert mult == 1
-    assert aut_order(rep) == 2
+    assert aut == aut_order(rep) == 2
 
 
 def test_closures_of_two_four_stars():
     d = disjoint_union(symmetric_star("phi4", 4), symmetric_star("phi4", 4))
     out = closures(d)
-    assert sum(m for _, m in out) == 105
-    by_mult = {m: aut_order(rep) for rep, m in out}
+    assert sum(m for _, m, _ in out) == 105
+    assert all(aut == aut_order(rep) for rep, _, aut in out)
+    by_mult = {m: aut for _, m, aut in out}
     # 9 ways leave the stars separate, 24 tie them with four parallel edges,
     # 72 give one loop on each vertex plus a double edge between them.
     assert by_mult == {9: 128, 24: 48, 72: 16}
@@ -189,7 +187,7 @@ def test_closures_of_two_four_stars():
 
 def test_closures_of_cyclic_four_star():
     out = closures(cyclic_star("c4", 4))
-    by_mult = {m: aut_order(rep) for rep, m in out}
+    by_mult = {m: aut for _, m, aut in out}
     assert by_mult == {2: 2, 1: 4}
 
 
@@ -202,8 +200,8 @@ def test_closures_keep_root_marks():
     star = mark_root(symmetric_star("x4", 4, special=True))
     out = closures(star)
     assert len(out) == 1
-    rep, mult = out[0]
+    rep, mult, aut = out[0]
     assert mult == 3
     assert rep.vertices[0].root
-    assert aut_order(rep) == 8
+    assert aut == aut_order(rep) == 8
     assert not are_isomorphic(rep, figure_eight("x4", special=True))
