@@ -15,17 +15,16 @@ from fdcalc.iso import aut_order, aut_order_bruteforce, canonical_code
 import util
 from test_iso import _bruteforce_iso
 
-# Few colours and small valences, so that equal vertices are common and the
-# brute-force oracle stays fast.
+# Keeps the brute-force oracles fast.
 MAX_HALF_EDGES = 12
 
 
 @st.composite
-def diagrams(draw, vertex_counts: tuple[int, int] = (0, 4), valences: tuple[int, int] = (0, 4),
-             max_bare: int = 6, max_types: int = 2, closed: bool = False
-             ) -> Diagram:
-    # Vertices come from one or two drawn types, so that regular, highly
-    # symmetric diagrams are common.
+def diagrams(draw, vertex_counts: tuple[int, int] = (0, 4),
+             valences: tuple[int, int] = (0, 4), max_bare: int = 6,
+             max_types: int = 2, closed: bool = False) -> Diagram:
+    # Vertices come from at most ``max_types`` drawn types over two colours,
+    # so that regular, highly symmetric diagrams are common.
     types = []
     for _ in range(draw(st.integers(1, max_types))):
         kind = draw(st.sampled_from(("symmetric", "cyclic", "coupon")))
@@ -113,7 +112,7 @@ def _switched(d: Diagram, rng: random.Random) -> Diagram:
 @given(diagrams(vertex_counts=(4, 6), valences=(2, 3), max_bare=0,
                 max_types=1, closed=True),
        st.randoms(use_true_random=False))
-def test_codes_agree_exactly_for_isomorphic_switches(d, rng):
+def test_switched_codes_equal_iff_isomorphic(d, rng):
     e = _switched(d, rng)
     same = canonical_code(d).code == canonical_code(e).code
     assert same == _bruteforce_iso(d, e)
