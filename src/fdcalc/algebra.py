@@ -19,18 +19,22 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .colours import ColourEntry, ColourTable, ColourTableError
+from .colours import (
+    KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
+)
 from .diagram import (
     Diagram, DiagramError, TypedDiagram, mark_root, star_for,
 )
 from .generate import enumerate_closed
 from .iso import aut_order
-from .poly import Poly
+from .poly import Poly, is_exact
 from .prop import closures
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, groupoid_integral, variable_for,
@@ -72,10 +76,6 @@ def _invert_exact(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_entry(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def _as_tensor(data, shape: tuple[int, ...], exact: bool) -> np.ndarray:
     arr = np.asarray(data, dtype=object)
     if arr.shape != shape:
@@ -99,18 +99,30 @@ def _tensors_equal(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:
 
 
 def _rotations(n: int):
-    if n <= 6:
-        return [tuple(range(r, n)) + tuple(range(r)) for r in range(1, n)]
-    return [tuple(range(1, n)) + (0,)]
+    """The one rotation that generates the cyclic group on n slots."""
+    return [tuple(range(1, n)) + (0,)] if n > 1 else []
 
 
 def _permutations(n: int):
-    if n <= 6:
-        return [p for p in itertools.permutations(range(n))
-                if p != tuple(range(n))]
-    swap = (1, 0) + tuple(range(2, n))
-    cycle = tuple(range(1, n)) + (0,)
-    return [swap, cycle]
+    """A transposition plus the n-cycle, which generate the symmetric group
+    on n slots (for n = 2 the two coincide)."""
+    if n < 2:
+        return []
+    return [(1, 0) + tuple(range(2, n))] + (_rotations(n) if n > 2 else [])
+
+
+_over = np.frompyfunc(Fraction, 2, 1)
+_scaled_numerator = np.frompyfunc(
+    lambda x, den: x.numerator * (den // x.denominator), 2, 1)
+
+
+def _integer_form(arr: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
+    """An exact array as integer numerators over one common denominator;
+    a float array passes through over 1."""
+    if not exact:
+        return arr, 1
+    den = math.lcm(*(x.denominator for x in arr.flat))
+    return _scaled_numerator(arr, den), den
 
 
 # -- the algebra --------------------------------------------------------------
@@ -123,8 +135,10 @@ class AlgebraSpec:
     outputs, matching slot order.  The mode is inferred: when the pairing
     and all tensor entries are ints or Fractions the algebra computes
     exactly, otherwise in doubles.  Cyclic and symmetric tensors must carry
-    the invariance their kind promises; this is checked at construction
-    (exhaustively up to valence 6, by generators beyond).
+    the invariance their kind promises; this is checked at construction on
+    generators of the group: the one rotation, or a transposition plus the
+    rotation.  Exactly, that is the whole group; in doubles each generator
+    is held to ``SYMMETRY_TOL``, and longer words may drift a little more.
     """
 
     def __init__(self, dim: int, pairing, table: ColourTable, tensors: dict):
@@ -136,7 +150,7 @@ class AlgebraSpec:
         flat = list(np.asarray(pairing, dtype=object).flat)
         for t in tensors.values():
             flat.extend(np.asarray(t, dtype=object).flat)
-        self.exact = all(_exact_entry(x) for x in flat)
+        self.exact = all(is_exact(x) for x in flat)
 
         self.pairing = _as_tensor(pairing, (dim, dim), self.exact)
         if not _tensors_equal(self.pairing, self.pairing.T, self.exact):
@@ -179,6 +193,23 @@ class AlgebraSpec:
                 self.symmetric_tensors[name] = arr
             else:
                 self.coupon_tensors[name] = arr
+
+        # Integer forms of the spec's own arrays, keyed by id; the arrays
+        # live as long as the spec, and the stored array guards the key.
+        self._forms = {
+            id(arr): (arr, *_integer_form(arr, self.exact))
+            for arr in (self.pairing, self.copairing, self.eye,
+                        *self.coupon_tensors.values(),
+                        *self.cyclic_tensors.values(),
+                        *self.symmetric_tensors.values())}
+
+    def _integer_form(self, arr: np.ndarray) -> tuple[np.ndarray, int]:
+        """``arr`` over a common denominator, converted at construction
+        when it is one of the spec's own arrays."""
+        form = self._forms.get(id(arr))
+        if form is not None and form[0] is arr:
+            return form[1], form[2]
+        return _integer_form(arr, self.exact)
 
     def tensor_for(self, colour: str) -> np.ndarray:
         """The tensor of a colour; special colours borrow their partner's."""
@@ -247,40 +278,81 @@ def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool) -> np.ndarray:
     return a.copairing
 
 
+def _trace_doubled(arr: np.ndarray, labs: list):
+    """Sum out every label that occurs twice within one operand."""
+    for lab in [L for i, L in enumerate(labs) if L in labs[i + 1:]]:
+        i1 = labs.index(lab)
+        i2 = labs.index(lab, i1 + 1)
+        arr = np.asarray(arr.diagonal(axis1=i1, axis2=i2).sum(-1),
+                         dtype=arr.dtype)
+        labs = [L for i, L in enumerate(labs) if i not in (i1, i2)]
+    return arr, labs
+
+
 def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
-    """Contract doubled labels away, in increasing label order."""
-    ops = [(arr, list(labs)) for arr, labs in ops]
-    internal = sorted({L for _, labs in ops for L in labs
-                       if isinstance(L, int)})
-    for lab in internal:
-        locs = [(k, i) for k, (_, labs) in enumerate(ops)
-                for i, L in enumerate(labs) if L == lab]
-        if len(locs) != 2:
-            raise AlgebraError(f"label {lab} appears {len(locs)} times")
-        (k1, i1), (k2, i2) = locs
-        if k1 == k2:
-            arr, labs = ops[k1]
-            arr = np.asarray(arr.diagonal(axis1=i1, axis2=i2).sum(-1),
-                             dtype=arr.dtype)
-            ops[k1] = (arr, [L for i, L in enumerate(labs)
-                             if i not in (i1, i2)])
-        else:
-            (x, lx), (y, ly) = ops[k1], ops[k2]
-            arr = np.asarray(np.tensordot(x, y, axes=([i1], [i2])),
-                             dtype=x.dtype)
-            labs = [L for i, L in enumerate(lx) if i != i1] + \
-                   [L for i, L in enumerate(ly) if i != i2]
-            ops[k1] = (arr, labs)
-            del ops[k2]
+    """Contract doubled labels away along a greedy pairwise plan.
+
+    Labels doubled inside one operand are traced out first.  Then, while
+    two operands share labels, the pair whose contraction has the fewest
+    entries (ties to the lowest operand indices) is contracted over all the
+    labels it shares in one step; outer products join what is left.  Exact
+    operands enter as integer numerators, and the product of their
+    denominators is divided out once at the end, so exact and float mode
+    share the contraction.
+    """
+    counts = Counter(L for _, labs in ops for L in labs if isinstance(L, int))
+    for lab in sorted(counts):
+        if counts[lab] != 2:
+            raise AlgebraError(f"label {lab} appears {counts[lab]} times")
+
+    scale = 1
+    work = {}  # operand id -> (array, labels); a merged pair keeps the lower id
+    for k, (arr, labs) in enumerate(ops):
+        ints, den = a._integer_form(arr)
+        scale *= den
+        work[k] = _trace_doubled(ints, list(labs))
+    owners: dict[int, list[int]] = {}
+    extent: dict[int, int] = {}
+    for k, (arr, labs) in work.items():
+        for L, n in zip(labs, arr.shape):
+            if isinstance(L, int):
+                owners.setdefault(L, []).append(k)
+                extent[L] = n
+
+    while owners:
+        # the product of the shared extents of each pair of operands
+        shared_size: dict[tuple[int, int], int] = {}
+        for L, (i, j) in owners.items():
+            shared_size[i, j] = shared_size.get((i, j), 1) * extent[L]
+        i, j = min(shared_size, key=lambda p: (
+            work[p[0]][0].size * work[p[1]][0].size // shared_size[p] ** 2,
+            p))
+        (x, lx), (y, ly) = work[i], work.pop(j)
+        shared = [L for L in lx if L in ly]
+        arr = np.asarray(np.tensordot(
+            x, y, axes=([lx.index(L) for L in shared],
+                        [ly.index(L) for L in shared])), dtype=x.dtype)
+        work[i] = (arr, [L for L in lx + ly if L not in shared])
+        for L in shared:
+            del owners[L]
+        for L in ly:
+            if L in owners:
+                owners[L] = sorted(i if k == j else k for k in owners[L])
+
     result, labels = None, []
-    for arr, labs in ops:
+    for arr, labs in work.values():
         result = arr if result is None else np.asarray(
             np.multiply.outer(result, arr), dtype=arr.dtype)
         labels += labs
     if result is None:
         return a.one() if not ext else None
+    if result.ndim == 0:
+        value = result.item()
+        return Fraction(value, scale) if a.exact else value
+    if a.exact:
+        result = _over(result, scale)
     if not ext:
-        return result.item() if result.ndim == 0 else result
+        return result
     perm = [labels.index(L) for L in ext]
     return result.transpose(perm)
 
@@ -443,10 +515,6 @@ def amplitude_coloured(c: EdgeColouring, a: AlgebraSpec):
 
 # -- file format --------------------------------------------------------------
 
-_KIND_NAMES = {"sym": "symmetric", "symmetric": "symmetric",
-               "cyc": "cyclic", "cyclic": "cyclic", "coupon": "coupon"}
-
-
 def _parse_number(x):
     if isinstance(x, str):
         return Fraction(x)
@@ -474,8 +542,8 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
 
     entries = []
     for c in colours:
-        kind = _KIND_NAMES.get(c.get("kind"))
-        if kind is None:
+        kind = KIND_OF_SHORT.get(c.get("kind"), c.get("kind"))
+        if kind not in KIND_SHORT:
             raise AlgebraError(f"unknown colour kind {c.get('kind')!r}")
         if kind == "coupon":
             arity = (int(c["inputs"]), int(c["outputs"]))

@@ -21,6 +21,10 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 Arity = int | tuple[int, int]
 
+# The short kind names of the text formats, in both directions.
+KIND_SHORT = {"symmetric": "sym", "cyclic": "cyc", "coupon": "coupon"}
+KIND_OF_SHORT = {short: kind for kind, short in KIND_SHORT.items()}
+
 
 class ColourTableError(ValueError):
     pass

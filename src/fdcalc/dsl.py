@@ -24,13 +24,12 @@ colours).
 
 import re
 
-from .colours import ColourEntry, ColourTable, ColourTableError
+from .colours import (
+    KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
+)
 from .diagram import Diagram, DiagramError, TypedDiagram, build_diagram
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[().,=;-]|#[^\n]*|\s+|.")
-
-_KINDS = {"sym": "symmetric", "cyc": "cyclic", "coupon": "coupon"}
-_KIND_NAMES = {"symmetric": "sym", "cyclic": "cyc", "coupon": "coupon"}
 
 
 class ParseError(ValueError):
@@ -158,9 +157,9 @@ def parse_diagram(text: str, table: ColourTable | None = None):
             name = c.ident("a vertex name")
             fresh_name(name, where)
             kind_tok = c.ident("a vertex kind")
-            if kind_tok not in _KINDS:
+            if kind_tok not in KIND_OF_SHORT:
                 raise ParseError(f"unknown kind {kind_tok!r}", *where)
-            kind = _KINDS[kind_tok]
+            kind = KIND_OF_SHORT[kind_tok]
             n_in = None
             if kind == "coupon":
                 c.take("(")
@@ -294,7 +293,7 @@ def serialize_diagram(d) -> str:
     names: dict[int, tuple[str, int]] = {}
     for i, v in enumerate(base.vertices):
         name = f"v{i + 1}"
-        kind = _KIND_NAMES[v.kind]
+        kind = KIND_SHORT[v.kind]
         if v.kind == "coupon":
             kind += f"({v.n_in},{v.valence - v.n_in})"
         lines.append(f"vertex {name} {kind} {v.colour} legs {v.valence};")
@@ -339,7 +338,7 @@ def parse_table(text: str) -> ColourTable:
             kind = "coupon"
         elif kind_tok in ("sym", "cyc"):
             arity = None
-            kind = _KINDS[kind_tok]
+            kind = KIND_OF_SHORT[kind_tok]
         else:
             raise ParseError(f"unknown kind {kind_tok!r}", lineno, 1)
         if not valence_tok.isdigit():
@@ -368,7 +367,7 @@ def parse_table(text: str) -> ColourTable:
 def format_table(table: ColourTable) -> str:
     lines = []
     for e in table:
-        kind = _KIND_NAMES[e.kind]
+        kind = KIND_SHORT[e.kind]
         if e.kind == "coupon":
             kind += f"({e.arity[0]},{e.arity[1]})"
         role = "special" if e.special else "ordinary"

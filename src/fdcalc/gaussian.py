@@ -24,7 +24,7 @@ from .algebra import (AlgebraSpec, amplitude, expectation_value,
 from .colours import standard_table
 from .diagram import Diagram, Vertex, degree
 from .iso import canonical_code
-from .poly import Poly
+from .poly import Poly, is_exact
 from .series import DEFAULT_DEGREE, MultiSeries, Monomial, diagram_monomial
 
 WICK_LIMIT = 12
@@ -37,10 +37,6 @@ ABS_TOL = 1e-12
 
 class GaussianError(ValueError):
     pass
-
-
-def _exact_entry(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _det_exact(rows: list[list[Fraction]]) -> Fraction:
@@ -77,7 +73,7 @@ class GaussianSpec:
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise GaussianError("pairing must be a dim x dim matrix")
         self.dim = dim
-        self.exact = all(_exact_entry(x) for row in mat for x in row)
+        self.exact = all(is_exact(x) for row in mat for x in row)
         if self.exact:
             mat = [[Fraction(x) for x in row] for row in mat]
         else:
@@ -344,8 +340,8 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
     if len(point) != dim:
         raise GaussianError("point and polynomial dimensions differ")
     direct = phi.evaluate(point)
-    exact = (all(_exact_entry(c) for c in phi.terms.values())
-             and all(_exact_entry(x) for x in point))
+    exact = (all(is_exact(c) for c in phi.terms.values())
+             and all(is_exact(x) for x in point))
     total = phi.terms.get((0,) * dim, Fraction(0) if exact else 0.0)
     orders = sorted({sum(e) for e in phi.terms if sum(e)})
     if not orders:

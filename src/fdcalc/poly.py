@@ -6,6 +6,13 @@ so exact and numeric pipelines share the type.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
+
+def is_exact(x) -> bool:
+    """True for the exact scalars (ints and Fractions, not bools)."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
 
 class Poly:
     __slots__ = ("dim", "terms")

@@ -5,21 +5,26 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcalc.algebra import (
-    AlgebraError, AlgebraSpec, amplitude, amplitude_coloured,
+    AlgebraError, AlgebraSpec, _contract, amplitude, amplitude_coloured,
     expand_colourings, expectation_value, load_algebra, leg_polynomial,
     interaction_terms,
 )
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (
-    Diagram, EMPTY, TypedDiagram, Vertex, bare_edge, coupon_star,
-    cyclic_star, symmetric_star,
+    Diagram, EMPTY, TypedDiagram, Vertex, bare_edge, connected_components,
+    coupon_star, cyclic_star, relabel_typed, symmetric_star,
 )
 from fdcalc.poly import Poly
 from fdcalc.prop import DiagramError, braiding, compose, identity, tensor
 from fdcalc.series import partition_series, rooted_series
-from util import figure_eight, quartic_table, random_typed, theta
+from util import (
+    figure_eight, quartic_table, random_diagram, random_relabelling,
+    random_typed, theta,
+)
 
 EYE2 = [[F(1), F(0)], [F(0), F(1)]]
 
@@ -35,16 +40,28 @@ def ones_algebra(table, dim=1, pairing=None):
     return AlgebraSpec(dim, pairing, table, tensors)
 
 
-def rand_tensor(rng, dim, entry):
-    raw = np.empty((dim,) * entry.valence, dtype=object)
-    for idx in np.ndindex(*raw.shape):
-        raw[idx] = F(rng.randint(-2, 3))
+def symmetrised(raw, entry):
+    """Sum of ``raw`` over the slot group of the entry's kind."""
     n = entry.valence
     if entry.kind == "symmetric":
         return sum(raw.transpose(p) for p in itertools.permutations(range(n)))
     if entry.kind == "cyclic":
         rots = [tuple(range(r, n)) + tuple(range(r)) for r in range(n)]
         return sum(raw.transpose(p) for p in rots)
+    return raw
+
+
+def rand_tensor(rng, dim, entry):
+    raw = np.empty((dim,) * entry.valence, dtype=object)
+    for idx in np.ndindex(*raw.shape):
+        raw[idx] = F(rng.randint(-2, 3))
+    return symmetrised(raw, entry)
+
+
+def rand_fractions(rng, dim, n):
+    raw = np.empty((dim,) * n, dtype=object)
+    for idx in np.ndindex(*raw.shape):
+        raw[idx] = F(rng.randint(-3, 3), rng.randint(1, 4))
     return raw
 
 
@@ -105,6 +122,158 @@ def test_open_untyped_diagram_rejected():
         amplitude(symmetric_star("phi4", 4), a)
 
 
+# -- contraction against a brute-force sum ------------------------------------
+
+def brute_force_amplitude(t: TypedDiagram, a: AlgebraSpec):
+    """The amplitude as a sum over every index assignment of the vertex
+    half-edges and the numbered endpoints, one product of entries each.
+
+    Every pair of ends carries the copairing, the identity or the pairing
+    by how many of its ends are upper; coupon outputs and numbered inputs
+    are upper.
+    """
+    d = t.base
+    upper_halves = {h for v in d.vertices if v.kind == "coupon"
+                    for h in v.slots[v.n_in:]}
+    role = {h: ("in", k) for k, h in enumerate(t.ins)}
+    role.update({h: ("out", k) for k, h in enumerate(t.outs)})
+
+    def upper(x):
+        return x in upper_halves if isinstance(x, int) else x[0] == "in"
+
+    ends = [(role[h1], role[h2]) if (h1, h2) in d.bare_pairs else (h1, h2)
+            for h1, h2 in d.pairs]
+    ends += [(h, role[h]) for h in d.legs if h not in d.free_halves]
+    mats = (a.copairing, a.eye, a.pairing)
+    factors = [(a.tensor_for(v.colour), v.slots) for v in d.vertices]
+    factors += [(mats[upper(x) + upper(y)], (x, y)) for x, y in ends]
+    ext = [("in", k) for k in range(t.src)] + \
+          [("out", k) for k in range(t.tgt)]
+    variables = sorted(h for v in d.vertices for h in v.slots) + ext
+    sums: dict[tuple, object] = {}
+    for values in itertools.product(range(a.dim), repeat=len(variables)):
+        at = dict(zip(variables, values))
+        term = a.one()
+        for arr, names in factors:
+            term *= arr[tuple(at[x] for x in names)]
+            if not term:
+                break
+        key = values[len(variables) - len(ext):]
+        sums[key] = sums.get(key, 0) + term
+    if not ext:
+        return sums[()]
+    out = np.empty((a.dim,) * len(ext), dtype=object)
+    for key, value in sums.items():
+        out[key] = value
+    return out
+
+
+def frac_algebra(rng, dim=2):
+    """Exact algebra whose pairing, copairing and tensors all carry
+    denominators, so the integer scaling is exercised."""
+    tensors = {e.name: symmetrised(rand_fractions(rng, dim, e.valence), e)
+               for e in RAND_TABLE.ordinary()}
+    pairing = [[F(2, 3), F(1, 2)], [F(1, 2), F(3)]]
+    return AlgebraSpec(dim, pairing, RAND_TABLE, tensors)
+
+
+CUP = TypedDiagram(bare_edge(), (), (0, 1))
+CAP = TypedDiagram(bare_edge(), (0, 1), ())
+ORACLE_VARIABLES = 12
+
+
+def oracle_case(rng) -> TypedDiagram:
+    """A random typed diagram, sometimes closed, sometimes beside a wire."""
+    if rng.random() < 0.25:
+        d = random_diagram(rng, closed=True)
+        t = TypedDiagram(d, (), d.legs)
+    else:
+        t = random_typed(rng)
+    if rng.random() < 0.3:
+        extra = rng.choice([identity(1), CUP, CAP])
+        t = tensor(t, extra) if rng.random() < 0.5 else tensor(extra, t)
+    return t
+
+
+def _features(t: TypedDiagram) -> set[str]:
+    d = t.base
+    out = set()
+    if any(d.vertex_of(h1) is not None and d.vertex_of(h1) == d.vertex_of(h2)
+           for h1, h2 in d.pairs):
+        out.add("self-loop")
+    if d.bare_pairs:
+        out.add("bare edge")
+    if any(v.kind == "coupon" for v in d.vertices):
+        out.add("coupon")
+    if len(connected_components(d)) > 1:
+        out.add("disconnected")
+    if not t.ins and not t.outs:
+        out.add("closed")
+    return out
+
+
+def _same(x, y) -> bool:
+    return np.array_equal(np.asarray(x, dtype=object),
+                          np.asarray(y, dtype=object))
+
+
+def test_amplitude_matches_brute_force_sum():
+    rng = random.Random(41)
+    a = frac_algebra(rng)
+    seen = set()
+    done = 0
+    while done < 60:
+        t = oracle_case(rng)
+        if sum(v.valence for v in t.base.vertices) + t.src + t.tgt \
+                > ORACLE_VARIABLES:
+            continue
+        got = amplitude(t, a)
+        assert _same(got, brute_force_amplitude(t, a))
+        if not t.ins and not t.outs:
+            assert isinstance(got, F)
+        seen |= _features(t)
+        done += 1
+    assert seen == {"self-loop", "bare edge", "coupon", "disconnected",
+                    "closed"}
+
+
+def test_contract_traces_a_label_doubled_in_one_operand():
+    a = frac_algebra(random.Random(3))
+    assert _contract([(a.pairing, [0, 0])], [], a) == F(2, 3) + F(3)
+    ext = [("in", 0), ("out", 0)]
+    got = _contract([(a.pairing, [0, 0]), (a.copairing, ext)], ext, a)
+    assert _same(got, (F(2, 3) + F(3)) * a.copairing)
+
+
+RELABEL_ALGEBRA = frac_algebra(random.Random(43))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_amplitude_invariant_under_relabelling(rng):
+    # Relabelling reorders the edge operands, so the planner's ties break
+    # differently; the amplitude must not notice.
+    t = oracle_case(rng)
+    moved = relabel_typed(t, random_relabelling(t.base, rng))
+    assert _same(amplitude(moved, RELABEL_ALGEBRA),
+                 amplitude(t, RELABEL_ALGEBRA))
+
+
+def test_float_algebra_close_to_exact():
+    rng = random.Random(47)
+    a = frac_algebra(rng)
+    tensors = {name: arr.astype(float) for pool in
+               (a.coupon_tensors, a.cyclic_tensors, a.symmetric_tensors)
+               for name, arr in pool.items()}
+    b = AlgebraSpec(a.dim, a.pairing.astype(float), a.table, tensors)
+    assert not b.exact
+    for _ in range(40):
+        t = oracle_case(rng)
+        exact = np.asarray(amplitude(t, a), dtype=object).astype(float)
+        approx = np.asarray(amplitude(t, b), dtype=float)
+        assert np.allclose(approx, exact, rtol=1e-9, atol=1e-12)
+
+
 # -- construction guards -------------------------------------------------------
 
 def test_unknown_colour_and_missing_tensor():
@@ -135,6 +304,49 @@ def test_tensor_invariance_checked():
     bad2 = np.array([[F(0), F(1)], [F(0), F(0)]], dtype=object)
     with pytest.raises(AlgebraError):
         AlgebraSpec(2, EYE2, tsym, {"s2": bad2})
+
+
+def _invariant(arr, perm):
+    return bool(np.all(arr == arr.transpose(perm)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_symmetric_check_needs_both_generators(n):
+    rng = random.Random(n)
+    table = standard_table(("symmetric", "s", n))
+    raw = rand_fractions(rng, 2, n)
+    cycle = tuple(range(1, n)) + (0,)
+    swap = (1, 0) + tuple(range(2, n))
+    # invariant under the n-cycle, not under a transposition
+    cyc = sum(raw.transpose(cycle[r:] + cycle[:r]) for r in range(n))
+    assert _invariant(cyc, cycle) and not _invariant(cyc, swap)
+    with pytest.raises(AlgebraError, match="permutation invariant"):
+        AlgebraSpec(2, EYE2, table, {"s": cyc})
+    # invariant under a transposition, not under the n-cycle
+    two = raw + raw.transpose(swap)
+    assert _invariant(two, swap) and not _invariant(two, cycle)
+    with pytest.raises(AlgebraError, match="permutation invariant"):
+        AlgebraSpec(2, EYE2, table, {"s": two})
+
+
+def test_cyclic_check_rejects_reflection_only():
+    rng = random.Random(4)
+    table = standard_table(("cyclic", "c4", 4))
+    raw = rand_fractions(rng, 2, 4)
+    reflection, rotation = (0, 3, 2, 1), (1, 2, 3, 0)
+    refl = raw + raw.transpose(reflection)
+    assert _invariant(refl, reflection) and not _invariant(refl, rotation)
+    with pytest.raises(AlgebraError, match="rotation invariant"):
+        AlgebraSpec(2, EYE2, table, {"c4": refl})
+
+
+def test_symmetric_valence_six_accepted():
+    table = standard_table(("symmetric", "s6", 6))
+    sym = np.empty((2,) * 6, dtype=object)
+    for idx in np.ndindex(*sym.shape):
+        sym[idx] = F(1 + sum(idx), 1 + idx.count(0))
+    a = AlgebraSpec(2, EYE2, table, {"s6": sym})
+    assert "s6" in a.symmetric_tensors
 
 
 def test_tensors_only_on_ordinary_colours():
