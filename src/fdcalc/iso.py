@@ -32,7 +32,9 @@ Comput. 2014) and Junttila & Kaski's *bliss* (ALENEX 2007).
   search back to the node where the two branches split.  |Aut| is the product
   over the first branch of the orbit of each individualised half-edge under
   the automorphisms that fix the ones individualised above it
-  (orbit-stabiliser).
+  (orbit-stabiliser).  Since that count is exact, the automorphisms found
+  generate the whole group on the slot half-edges;
+  ``automorphism_generators`` returns them.
 
 Valence-0 vertices and untyped bare edges own no slots.  They enter the code
 as counts, and |Aut| gains k! for each group of k equal valence-0 vertices
@@ -130,8 +132,10 @@ def _orbits(n: int, gens: list[list[int]], path: list[int]) -> list[int] | None:
     return [find(a) for a in range(n)]
 
 
-def _search(d: Diagram, tok: dict[int, int]) -> tuple[tuple, int]:
-    """Canonical form and automorphism count of the slot structure of ``d``."""
+def _search(d: Diagram, tok: dict[int, int]
+            ) -> tuple[tuple, int, list[dict[int, int]]]:
+    """Canonical form and automorphism count of the slot structure of ``d``,
+    with the automorphisms the search found as maps of slot half-edges."""
     partner = d.partner
     sigs = [(v.kind, -1 if v.n_in is None else v.n_in, v.colour, v.special,
              v.root, len(v.slots)) for v in d.vertices]
@@ -170,7 +174,7 @@ def _search(d: Diagram, tok: dict[int, int]) -> tuple[tuple, int]:
     count = math.prod(map(math.factorial, isolated.values()))
     layout = (tuple(kinds), tuple(sorted(isolated.items())))
     if not n:
-        return layout + ((), ()), count
+        return layout + ((), ()), count, []
     part = [index[partner[h]] if h in partner else -1 for h in index]
 
     # Tag: 0 untyped leg, 1 edge, 2 root edge, above 2 an endpoint number.
@@ -258,7 +262,9 @@ def _search(d: Diagram, tok: dict[int, int]) -> tuple[tuple, int]:
         return depth - 1
 
     node(*_refine(col, len(runs), part, nxt, prv, grp, groups), [], True)
-    return layout + (tuple(runs), best[0]), count * aut
+    halves = list(index)
+    maps = [dict(zip(halves, map(halves.__getitem__, g))) for g in gens]
+    return layout + (tuple(runs), best[0]), count * aut, maps
 
 
 @lru_cache(maxsize=CODE_CACHE_SIZE)
@@ -270,14 +276,25 @@ def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
         head = ("T", d.src, d.tgt)
         tail = tuple(sorted(tuple(sorted((tok[a], tok[b])))
                             for a, b in base.bare_pairs))
-        body, count = _search(base, tok)
+        body, count, _ = _search(base, tok)
     else:
         base = d
         b = len(base.bare_pairs)
         head, tail = ("D",), b
-        body, count = _search(base, {})
+        body, count, _ = _search(base, {})
         count *= math.factorial(b) * 2 ** b
     return CanonicalCode(repr(head + body + (tail,)).encode(), count)
+
+
+def automorphism_generators(d: Diagram) -> list[dict[int, int]]:
+    """Automorphisms of ``d`` that generate its group on the slot half-edges,
+    each a map of every slot half-edge to its image.
+
+    They are the automorphisms the canonical search of ``d`` finds; |Aut| is
+    their group's order times the valence-0 and bare-edge factors.  Not
+    cached: each call runs the search again.
+    """
+    return _search(d, {})[2]
 
 
 def aut_order(d: Diagram | TypedDiagram) -> int:

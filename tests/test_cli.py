@@ -186,6 +186,12 @@ def test_error_exits(files, tmp_path):
     rc, _, err = run(["aut", str(tmp_path / "missing.fd")])
     assert rc == 2 and "missing.fd" in err
 
+    star18 = tmp_path / "star18.fd"
+    star18.write_text("vertex a sym x legs 18;")
+    rc, out, err = run(["closures", str(star18)])
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and "at most 16 legs" in err
+
 
 def test_reruns_are_byte_identical(files):
     for argv in (["enumerate", "--table", files["quartic.tbl"],

@@ -1,16 +1,27 @@
+import math
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from fdcalc.diagram import (
     Diagram, DiagramError, EMPTY, TypedDiagram, bare_edge, degree,
-    disjoint_union, mark_root, symmetric_star, cyclic_star,
+    disjoint_union, mark_root, shift, symmetric_star, cyclic_star,
 )
-from fdcalc.iso import aut_order, are_isomorphic, canonical_code
+from fdcalc.iso import (
+    aut_order, aut_order_bruteforce, are_isomorphic, automorphism_generators,
+    canonical_code,
+)
 from fdcalc.prop import (
-    braiding, closures, compose, edge_pairings, identity, tensor,
+    MAX_CLOSURE_LEGS, _pairings, _rank, _unrank, braiding, closures,
+    compose, edge_pairings, identity, tensor,
 )
+from test_iso_properties import diagrams
 from util import figure_eight, random_typed
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def typed_with_src(rng: random.Random, k: int) -> TypedDiagram:
@@ -205,3 +216,125 @@ def test_closures_keep_root_marks():
     assert rep.vertices[0].root
     assert aut == aut_order(rep) == 8
     assert not are_isomorphic(rep, figure_eight("x4", special=True))
+
+
+def test_closures_refuse_too_many_legs():
+    star = symmetric_star("x", MAX_CLOSURE_LEGS + 2)
+    start = time.perf_counter()
+    with pytest.raises(DiagramError, match="at most 16 legs"):
+        closures(star)
+    assert time.perf_counter() - start < 1
+
+
+def _closures_by_compose(d: Diagram) -> list[tuple[bytes, Diagram, int, int]]:
+    """The closures of ``d`` by composing it against every edge pairing and
+    canonicalising every result, as (code, representative, multiplicity,
+    |Aut|) sorted by code."""
+    legs = d.legs
+    if len(legs) % 2:
+        return []
+    typed = TypedDiagram(d, legs, ())
+    found: dict[bytes, list] = {}
+    for p in edge_pairings(len(legs)):
+        closed = compose(typed, p).base
+        code = canonical_code(closed)
+        if code.code in found:
+            found[code.code][2] += 1
+        else:
+            found[code.code] = [code.code, closed, 1, code.aut_order]
+    return [tuple(entry) for _, entry in sorted(found.items())]
+
+
+@settings(SETTINGS, max_examples=600)
+@given(diagrams(max_bare=1).filter(lambda d: len(d.legs) <= 10))
+def test_closures_match_composing_every_pairing(d):
+    try:
+        expected = _closures_by_compose(d)
+    except DiagramError:
+        with pytest.raises(DiagramError):
+            closures(d)
+        return
+    got = closures(d)
+    assert ([canonical_code(rep).code for rep, _, _ in got]
+            == [code for code, _, _, _ in expected])
+    assert ([(mult, aut) for _, mult, aut in got]
+            == [(mult, aut) for _, _, mult, aut in expected])
+    shifted = [shift(rep, len(d.legs)) for rep, _, _ in got]
+    assert shifted == [rep for _, rep, _, _ in expected]
+
+
+def _group_order(gens: list[dict[int, int]], halves: list[int]) -> int:
+    """Order of the group the maps ``gens`` generate on ``halves``."""
+    identity_map = tuple(halves)
+    elements = {identity_map}
+    todo = [identity_map]
+    moves = [tuple(g[h] for h in halves) for g in gens]
+    where = {h: i for i, h in enumerate(halves)}
+    while todo:
+        x = todo.pop()
+        for m in moves:
+            y = tuple(m[where[h]] for h in x)
+            if y not in elements:
+                elements.add(y)
+                todo.append(y)
+    return len(elements)
+
+
+@SETTINGS
+@given(diagrams(max_bare=0))
+def test_automorphism_generators_generate_aut(d):
+    partner = d.partner
+    halves = sorted(h for v in d.vertices for h in v.slots)
+    owner = {h: v for v in d.vertices for h in v.slots}
+
+    def sig(v):
+        return (v.kind, v.n_in, v.colour, v.special, v.root, v.valence)
+
+    gens = automorphism_generators(d)
+    for g in gens:
+        assert sorted(g) == halves and sorted(g.values()) == halves
+        for h in halves:
+            assert (h in partner) == (g[h] in partner)
+            if h in partner:
+                assert partner[g[h]] == g[partner[h]]
+                edge = tuple(sorted((h, partner[h])))
+                image = tuple(sorted((g[h], g[partner[h]])))
+                assert (edge in d.root_pairs) == (image in d.root_pairs)
+        for v in d.vertices:
+            if not v.slots:
+                continue
+            w = owner[g[v.slots[0]]]
+            assert sig(w) == sig(v)
+            moved = tuple(g[h] for h in v.slots)
+            if v.kind == "coupon":
+                assert moved == w.slots
+            elif v.kind == "cyclic":
+                k = w.slots.index(moved[0])
+                assert moved == w.slots[k:] + w.slots[:k]
+            else:
+                assert sorted(moved) == list(w.slots)
+    isolated = Counter(sig(v) for v in d.vertices if not v.slots)
+    order = _group_order(gens, halves)
+    assert (order * math.prod(map(math.factorial, isolated.values()))
+            == aut_order_bruteforce(d))
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8, 10])
+def test_pairing_ranks(n):
+    rng = random.Random(n)
+    index = {}
+    for i, pairing in enumerate(_pairings(tuple(range(n)))):
+        mate = [0] * n
+        for a, b in pairing:
+            mate[a], mate[b] = b, a
+        assert _rank(mate) == i
+        assert _unrank(i, n) == mate
+        index[tuple(mate)] = i
+    assert len(index) == math.prod(range(n - 1, 0, -2))
+    for mate in rng.sample(sorted(index), min(len(index), 50)):
+        p = list(range(n))
+        rng.shuffle(p)
+        image = [0] * n
+        for a, b in enumerate(mate):
+            image[p[a]] = p[b]
+        assert _rank(image) == index[tuple(image)]
