@@ -11,8 +11,14 @@ Matchings are not enumerated one by one.  The loose legs of a symmetric
 vertex are interchangeable, so only the induced leg multigraph matters: its
 nodes are symmetric-vertex leg buckets and individual cyclic or coupon
 slots, and a matching is a loop count per node plus an edge multiplicity per
-node pair.  One matching per multigraph is instantiated and canonical codes
-remove the isomorphs that remain (vertex swaps, cyclic rotations).
+node pair.  The isomorphs that remain are the images under the automorphisms
+of the stars and the root (vertex swaps, cyclic rotations), which permute the
+nodes.  An isomorphism of two closures of one piece restricts to an
+automorphism of the piece, so the classes over one star multiset are exactly
+the orbits of its automorphism group on the multigraphs.  The multigraphs are
+walked in order; the first one of each orbit floods the orbit under the
+generators that :func:`fdcalc.iso.automorphism_generators` returns, and it
+alone is instantiated and canonicalised.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from .diagram import (
     Diagram, DiagramError, EMPTY, connected_components, degree,
     disjoint_union, mark_root, star_for,
 )
-from .iso import canonical_code
+from .iso import automorphism_generators, canonical_code
 
 MAX_DEGREE = 16
 
@@ -51,7 +57,10 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
     ``connected`` keeps single-component diagrams only (this drops the empty
     diagram).  ``reduced`` keeps diagrams in which every component touches
     the root marking; with an empty root that leaves the empty diagram alone.
-    Classes come back sorted by degree, then by canonical code.
+    Classes come back sorted by degree, then by canonical code.  Each star
+    multiset canonicalises one multigraph per orbit of the automorphisms of
+    its stars and the root, the first of its orbit in walk order, so the
+    search runs once per class and no more.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
@@ -60,7 +69,7 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
             f"max_degree {max_degree} exceeds the supported bound {MAX_DEGREE}")
     piece = EMPTY if root is None else mark_root(root)
     budget = max_degree - degree(piece)
-    found: dict[bytes, DiagramClass] = {}
+    found: list[DiagramClass] = []
     for stars in _star_multisets(table.ordinary(), budget):
         base = piece
         for entry, count in stars:
@@ -69,8 +78,27 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
         if len(base.legs) % 2:
             continue
         nodes = _leg_nodes(base)
-        caps = tuple(len(ns) for ns in nodes)
-        for graph in _multigraphs(caps):
+        n = len(nodes)
+        # Each automorphism of the base as a map of edge codes a*n + b.
+        node_of = {h: i for i, ns in enumerate(nodes) for h in ns}
+        perms = {tuple(node_of[g[ns[0]]] for ns in nodes)
+                 for g in automorphism_generators(base)}
+        perms.discard(tuple(range(n)))
+        moves = [[min(p[a], p[b]) * n + max(p[a], p[b])
+                  for a in range(n) for b in range(n)] for p in perms]
+        seen: set[tuple[int, ...]] = set()
+        for graph in _multigraphs(tuple(map(len, nodes))):
+            if graph in seen:
+                continue
+            seen.add(graph)
+            todo = [graph]
+            while todo:
+                g = todo.pop()
+                for move in moves:
+                    image = tuple(sorted(map(move.__getitem__, g)))
+                    if image not in seen:
+                        seen.add(image)
+                        todo.append(image)
             pairs = _instantiate(nodes, graph)
             d = Diagram(base.vertices, base.pairs | pairs, base.root_pairs)
             if connected and len(connected_components(d)) != 1:
@@ -78,10 +106,8 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
             if reduced and not _is_reduced(d):
                 continue
             code = canonical_code(d)
-            if code.code not in found:
-                found[code.code] = DiagramClass(d, code.aut_order, degree(d),
-                                                code.code)
-    return sorted(found.values(), key=lambda c: (c.degree, c.key))
+            found.append(DiagramClass(d, code.aut_order, degree(d), code.code))
+    return sorted(found, key=lambda c: (c.degree, c.key))
 
 
 def _is_reduced(d: Diagram) -> bool:
@@ -154,43 +180,51 @@ def _leg_nodes(base: Diagram) -> list[list[int]]:
 def _multigraphs(caps: tuple[int, ...]):
     """Loop counts and pairwise multiplicities filling every capacity.
 
-    Yields tuples ``(loops_i, (m_{i,i+1}, ..., m_{i,n-1}))`` per node.
+    Yields each multigraph as the sorted tuple of its edge codes ``a*n + b``
+    over node pairs ``a <= b`` (``a == b`` for a loop), one code per edge.
+    The walk goes node by node: node ``a``'s loop count, then its
+    multiplicities towards nodes ``a+1, ..., n-1``, each tried from low to
+    high, so the codes come out in order.
     """
     n = len(caps)
 
-    def rec(i: int, rem: tuple[int, ...]):
-        if i == n:
-            yield ()
+    def rec(a: int, rem: tuple[int, ...], head: tuple[int, ...]):
+        if a == n:
+            yield head
             return
-        r = rem[i]
+        r = rem[a]
         for loops in range(r // 2 + 1):
-            for combo in _distribute(r - 2 * loops, rem[i + 1:]):
-                nxt = rem[:i + 1] + tuple(
-                    rem[i + 1 + k] - combo[k] for k in range(n - i - 1))
-                for tail in rec(i + 1, nxt):
-                    yield ((loops, combo),) + tail
+            for codes, left in _distribute(r - 2 * loops, rem, a + 1, a * n,
+                                           head + (a * n + a,) * loops):
+                yield from rec(a + 1, left, codes)
 
-    return rec(0, caps)
+    return rec(0, caps, ())
 
 
-def _distribute(total: int, limits: tuple[int, ...]):
-    if not limits:
-        if total == 0:
-            yield ()
+def _distribute(total: int, rem: tuple[int, ...], b: int, row: int,
+                head: tuple[int, ...]):
+    """Spread ``total`` edges from one node over the nodes from ``b`` on, at
+    most ``rem[c]`` to node ``c``, appending code ``row + c`` per edge to
+    ``head``; yields the codes and the capacities left."""
+    if not total:
+        yield head, rem
         return
-    for m in range(min(total, limits[0]) + 1):
-        for rest in _distribute(total - m, limits[1:]):
-            yield (m,) + rest
+    while b < len(rem) and not rem[b]:
+        b += 1
+    if total > sum(rem[b:]):
+        return
+    for m in range(min(total, rem[b]) + 1):
+        yield from _distribute(total - m, rem[:b] + (rem[b] - m,) + rem[b + 1:],
+                               b + 1, row, head + (row + b,) * m)
 
 
 def _instantiate(nodes: list[list[int]], graph) -> set[tuple[int, int]]:
+    """Pair the legs of ``nodes`` along the edge codes of ``graph``, taking
+    each node's legs in order."""
+    n = len(nodes)
     stacks = [list(ns) for ns in nodes]
     pairs: set[tuple[int, int]] = set()
-    for i, (loops, combo) in enumerate(graph):
-        for _ in range(loops):
-            pairs.add((stacks[i].pop(0), stacks[i].pop(0)))
-        for dj, m in enumerate(combo):
-            j = i + 1 + dj
-            for _ in range(m):
-                pairs.add((stacks[i].pop(0), stacks[j].pop(0)))
+    for code in graph:
+        a, b = divmod(code, n)
+        pairs.add((stacks[a].pop(0), stacks[b].pop(0)))
     return pairs

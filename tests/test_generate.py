@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from fdcalc.diagram import (
-    Diagram, DiagramError, EMPTY, degree, disjoint_union, mark_root,
-    star_for, symmetric_star,
+    Diagram, DiagramError, EMPTY, Vertex, connected_components, cyclic_star,
+    degree, disjoint_union, mark_root, star_for, symmetric_star,
 )
 from fdcalc.generate import (
-    enumerate_closed, symmetric_power_aut, symmetric_power_check,
+    DiagramClass, _leg_nodes, _star_multisets, enumerate_closed,
+    symmetric_power_aut, symmetric_power_check,
 )
 from fdcalc.iso import are_isomorphic, canonical_code
 from util import (
@@ -53,6 +54,75 @@ def naive_enumerate(table, max_degree, root=None):
             code = canonical_code(d)
             found[code.code] = code.aut_order
     return found
+
+
+def _enumerate_by_candidates(table, max_degree, root=None, connected=False,
+                             reduced=False):
+    """Reference census without the orbit quotient: every leg multigraph is
+    instantiated, filtered and canonicalised, and the first multigraph of
+    each code is kept.  The multigraph walk is spelled out here as nested
+    (loops, multiplicities) tuples per node."""
+    def multigraphs(caps):
+        n = len(caps)
+
+        def rec(i, rem):
+            if i == n:
+                yield ()
+                return
+            for loops in range(rem[i] // 2 + 1):
+                for combo in distribute(rem[i] - 2 * loops, rem[i + 1:]):
+                    nxt = rem[:i + 1] + tuple(
+                        r - m for r, m in zip(rem[i + 1:], combo))
+                    for tail in rec(i + 1, nxt):
+                        yield ((loops, combo),) + tail
+
+        return rec(0, caps)
+
+    def distribute(total, limits):
+        if not limits:
+            if total == 0:
+                yield ()
+            return
+        for m in range(min(total, limits[0]) + 1):
+            for rest in distribute(total - m, limits[1:]):
+                yield (m,) + rest
+
+    def instantiate(nodes, graph):
+        stacks = [list(ns) for ns in nodes]
+        pairs = set()
+        for i, (loops, combo) in enumerate(graph):
+            for _ in range(loops):
+                pairs.add((stacks[i].pop(0), stacks[i].pop(0)))
+            for dj, m in enumerate(combo):
+                for _ in range(m):
+                    pairs.add((stacks[i].pop(0), stacks[i + 1 + dj].pop(0)))
+        return pairs
+
+    piece = EMPTY if root is None else mark_root(root)
+    found = {}
+    for stars in _star_multisets(table.ordinary(),
+                                 max_degree - degree(piece)):
+        base = piece
+        for entry, count in stars:
+            for _ in range(count):
+                base = disjoint_union(base, star_for(entry))
+        if len(base.legs) % 2:
+            continue
+        nodes = _leg_nodes(base)
+        for graph in multigraphs(tuple(len(ns) for ns in nodes)):
+            d = Diagram(base.vertices, base.pairs | instantiate(nodes, graph),
+                        base.root_pairs)
+            comps = connected_components(d)
+            if connected and len(comps) != 1:
+                continue
+            if reduced and not all(any(v.root for v in c.vertices)
+                                   for c in comps):
+                continue
+            code = canonical_code(d)
+            if code.code not in found:
+                found[code.code] = DiagramClass(d, code.aut_order, degree(d),
+                                                code.code)
+    return sorted(found.values(), key=lambda c: (c.degree, c.key))
 
 
 def groupoid_sum(classes, deg):
@@ -176,3 +246,40 @@ def test_symmetric_power_check_full_enumerations():
     for table in (quartic_table(), cubic_table(), mixed_table()):
         classes = enumerate_closed(table, max_degree=8)
         assert symmetric_power_check(classes)
+
+
+_TABLES = {"quartic": quartic_table(), "cubic": cubic_table(),
+           "mixed": mixed_table(), "cyclic": cyclic_table(),
+           "coupon": coupon_table()}
+_ROOTS = {"PHI4": symmetric_star("PHI4", 4, special=True),
+          "PHI3": symmetric_star("PHI3", 3, special=True),
+          "PSI3": cyclic_star("PSI3", 3, special=True),
+          # A self-loop leaves the root's symmetric bucket half matched.
+          "looped": Diagram((Vertex("symmetric", "PHI4", (0, 1, 2, 3),
+                                    special=True),), frozenset({(0, 1)}))}
+_CENSUS_CASES = [
+    ("quartic", 8, None, ""), ("cubic", 6, None, ""), ("mixed", 7, None, ""),
+    ("cyclic", 6, None, ""), ("coupon", 8, None, ""),
+    ("quartic", 8, "PHI4", ""), ("cubic", 9, "PHI3", ""),
+    ("quartic", 8, "looped", ""), ("cyclic", 9, "PSI3", ""),
+]
+_CENSUS_CASES += [
+    (t, deg, root, flag) for t, deg, root, _ in _CENSUS_CASES[:5]
+    for flag in ("connected", "reduced")
+] + [
+    (t, deg, root, "reduced") for t, deg, root, _ in _CENSUS_CASES[5:8]
+] + [("cyclic", 12, None, "connected")]
+
+
+@pytest.mark.parametrize(
+    "table,maxdeg,root,flag", _CENSUS_CASES,
+    ids=["-".join(map(str, filter(None, c))) for c in _CENSUS_CASES])
+def test_orbit_census_matches_per_candidate_reference(table, maxdeg, root,
+                                                      flag):
+    # Same representatives, |Aut|, degrees, codes and order: one orbit of the
+    # stars' automorphisms is one class, and its first multigraph in walk
+    # order is the representative the per-candidate census keeps.
+    table, root = _TABLES[table], _ROOTS.get(root)
+    flags = {flag: True} if flag else {}
+    got = enumerate_closed(table, max_degree=maxdeg, root=root, **flags)
+    assert got == _enumerate_by_candidates(table, maxdeg, root, **flags)

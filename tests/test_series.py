@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+import itertools
+import math
+
 import pytest
 
 from fdcalc.diagram import disjoint_union, symmetric_star
@@ -8,7 +11,9 @@ from fdcalc.series import (
     MultiSeries, VariableKey, diagram_monomial, free_energy_series,
     groupoid_integral, partition_series, rooted_series, variable_for,
 )
-from util import cubic_table, mixed_table, quartic_table
+from util import (
+    coupon_table, cubic_table, cyclic_table, mixed_table, quartic_table,
+)
 
 X = VariableKey("phi4", 4)
 G = VariableKey("phi3", 3)
@@ -186,3 +191,41 @@ def test_weighted_groupoid_integral():
     z12 = partition_series(table, 12)
     x = MultiSeries.variable(X, 12)
     assert weighted == x * z12.derivative(X)
+
+
+def orbit_count_z(table, max_degree):
+    """Z from the orbit count alone, enumerating nothing.
+
+    The closed diagrams on n_c stars of each colour c are the orbits of the
+    stars' symmetry group on the (L-1)!! perfect matchings of their L legs,
+    and the groupoid sum of an action is the set size over the group order.
+    So the coefficient of prod x_c^{n_c} is (L-1)!! / prod n_c! |Aut c|^{n_c},
+    with |Aut c| = k! for a symmetric, k for a cyclic and 1 for a coupon
+    star of valence k (Cvitanovic, Lautrup & Pearson, Phys. Rev. D 18, 1978).
+    """
+    aut = {"symmetric": math.factorial, "cyclic": lambda k: k,
+           "coupon": lambda k: 1}
+    entries = sorted(table.ordinary(), key=lambda e: e.name)
+    coeffs = {}
+    for counts in itertools.product(
+            *(range(max_degree // e.valence + 1) for e in entries)):
+        legs = sum(n * e.valence for n, e in zip(counts, entries))
+        if legs > max_degree or legs % 2:
+            continue
+        size = math.prod(range(legs - 1, 0, -2))
+        order = math.prod(math.factorial(n) * aut[e.kind](e.valence) ** n
+                          for n, e in zip(counts, entries))
+        mono = tuple((VariableKey(e.name, e.valence), n)
+                     for n, e in zip(counts, entries) if n)
+        coeffs[mono] = F(size, order)
+    return MultiSeries(coeffs, max_degree)
+
+
+@pytest.mark.parametrize("table,max_degree", [
+    (quartic_table(), 16), (cubic_table(), 12), (mixed_table(), 14),
+    (cyclic_table(), 12), (coupon_table(), 10),
+], ids=["quartic16", "cubic12", "mixed14", "cyclic12", "coupon10"])
+def test_census_series_match_orbit_count(table, max_degree):
+    z = orbit_count_z(table, max_degree)
+    assert partition_series(table, max_degree) == z
+    assert free_energy_series(table, max_degree) == z.log()
