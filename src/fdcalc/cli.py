@@ -11,12 +11,9 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraError, expectation_value, load_algebra
-from .colours import ColourTableError
-from .coverings import CoveringError
+from .algebra import expectation_value, load_algebra
 from .diagram import Diagram, DiagramError, TypedDiagram
-from .dsl import ParseError, parse_diagram, parse_table, serialize_diagram
-from .gaussian import GaussianError
+from .dsl import parse_diagram, parse_table, serialize_diagram
 from .generate import enumerate_closed
 from .iso import canonical_code
 from .prop import closures, compose, tensor
@@ -24,8 +21,8 @@ from .series import (diagram_monomial, format_monomial, free_energy_series,
                      partition_series, sorted_terms)
 from . import verify
 
-_ERRORS = (ParseError, DiagramError, ColourTableError, AlgebraError,
-           GaussianError, CoveringError, OSError, ValueError)
+# Every fdcalc error class subclasses ValueError.
+_ERRORS = (OSError, ValueError)
 
 
 def _read(path: str) -> str:
@@ -84,10 +81,8 @@ def _cmd_closures(args):
     d = _load_diagram(args.file, args.table)
     if isinstance(d, TypedDiagram):
         d = d.base
-    found = []
-    for closed, mult, aut in closures(d):
-        found.append((mult, aut, _one_line(closed)))
-    found.sort(key=lambda row: (row[2], row[0]))
+    found = [(mult, aut, _one_line(closed))
+             for closed, mult, aut in closures(d)]
     rows = [list(row) for row in found]
     obj = {"closures": [{"multiplicity": m, "aut": a, "diagram": s}
                         for m, a, s in found]}

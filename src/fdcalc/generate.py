@@ -15,15 +15,19 @@ node pair.  The isomorphs that remain are the images under the automorphisms
 of the stars and the root (vertex swaps, cyclic rotations), which permute the
 nodes.  An isomorphism of two closures of one piece restricts to an
 automorphism of the piece, so the classes over one star multiset are exactly
-the orbits of its automorphism group on the multigraphs.  The multigraphs are
-walked in order; the first one of each orbit floods the orbit under the
-generators that :func:`fdcalc.iso.automorphism_generators` returns, and it
-alone is instantiated and canonicalised.
+the orbits of its automorphism group on the multigraphs.  One engine,
+``_closure_orbits``, walks the multigraphs in order; the first one of each
+orbit floods the orbit under the generators that
+:func:`fdcalc.iso.automorphism_generators` returns, and it alone is
+instantiated, with the number of matchings its orbit stands for.  The census
+filters and canonicalises these closures, and :func:`fdcalc.prop.closures`
+sums their matching counts by class.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .colours import ColourEntry, ColourTable
 from .diagram import (
@@ -77,30 +81,7 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
                 base = disjoint_union(base, star_for(entry))
         if len(base.legs) % 2:
             continue
-        nodes = _leg_nodes(base)
-        n = len(nodes)
-        # Each automorphism of the base as a map of edge codes a*n + b.
-        node_of = {h: i for i, ns in enumerate(nodes) for h in ns}
-        perms = {tuple(node_of[g[ns[0]]] for ns in nodes)
-                 for g in automorphism_generators(base)}
-        perms.discard(tuple(range(n)))
-        moves = [[min(p[a], p[b]) * n + max(p[a], p[b])
-                  for a in range(n) for b in range(n)] for p in perms]
-        seen: set[tuple[int, ...]] = set()
-        for graph in _multigraphs(tuple(map(len, nodes))):
-            if graph in seen:
-                continue
-            seen.add(graph)
-            todo = [graph]
-            while todo:
-                g = todo.pop()
-                for move in moves:
-                    image = tuple(sorted(map(move.__getitem__, g)))
-                    if image not in seen:
-                        seen.add(image)
-                        todo.append(image)
-            pairs = _instantiate(nodes, graph)
-            d = Diagram(base.vertices, base.pairs | pairs, base.root_pairs)
+        for d, _ in _closure_orbits(base):
             if connected and len(connected_components(d)) != 1:
                 continue
             if reduced and not _is_reduced(d):
@@ -115,28 +96,49 @@ def _is_reduced(d: Diagram) -> bool:
                for comp in connected_components(d))
 
 
-def symmetric_power_aut(d: Diagram) -> int:
-    """|Aut| predicted from the connected pieces of ``d``.
+def _closure_orbits(piece: Diagram):
+    """Closures of ``piece``, one per orbit of Aut(piece) on its leg
+    multigraphs, each with the number of leg pairings its orbit stands for.
 
-    A disjoint union is a multiset of connected diagrams, so its
-    automorphisms are the automorphisms of the pieces extended by the
-    permutations of equal pieces: |Aut| = prod over distinct components c of
-    multiplicity! * |Aut c|^multiplicity.
+    The multigraphs are walked in ``_multigraphs`` order.  The first one of
+    each orbit floods the orbit under the generators that
+    :func:`fdcalc.iso.automorphism_generators` returns, and it alone is
+    instantiated.  Every multigraph of an orbit stands for the same number of
+    pairings, prod c_a! / (prod 2^l_a l_a! * prod m_ab!) over the node
+    capacities c_a, loop counts l_a and edge multiplicities m_ab.
     """
-    mult: dict[bytes, tuple[int, int]] = {}
-    for comp in connected_components(d):
-        code = canonical_code(comp)
-        n, aut = mult.get(code.code, (0, code.aut_order))
-        mult[code.code] = (n + 1, aut)
-    out = 1
-    for n, aut in mult.values():
-        out *= factorial(n) * aut ** n
-    return out
-
-
-def symmetric_power_check(classes: list[DiagramClass]) -> bool:
-    """Does every class's |Aut| factor through its connected components?"""
-    return all(c.aut == symmetric_power_aut(c.rep) for c in classes)
+    nodes = _leg_nodes(piece)
+    n = len(nodes)
+    caps = tuple(map(len, nodes))
+    # Each automorphism of the piece as a map of edge codes a*n + b.
+    node_of = {h: i for i, ns in enumerate(nodes) for h in ns}
+    perms = {tuple(node_of[g[ns[0]]] for ns in nodes)
+             for g in automorphism_generators(piece)}
+    perms.discard(tuple(range(n)))
+    moves = [[min(p[a], p[b]) * n + max(p[a], p[b])
+              for a in range(n) for b in range(n)] for p in perms]
+    fill = prod(map(factorial, caps))
+    seen: set[tuple[int, ...]] = set()
+    for graph in _multigraphs(caps):
+        if graph in seen:
+            continue
+        before = len(seen)
+        seen.add(graph)
+        todo = [graph]
+        while todo:
+            g = todo.pop()
+            for move in moves:
+                image = tuple(sorted(map(move.__getitem__, g)))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+        ways = 1
+        for code, m in Counter(graph).items():
+            a, b = divmod(code, n)
+            ways *= factorial(m) << m if a == b else factorial(m)
+        pairs = _instantiate(nodes, graph)
+        yield (Diagram(piece.vertices, piece.pairs | pairs, piece.root_pairs),
+               (len(seen) - before) * fill // ways)
 
 
 def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):

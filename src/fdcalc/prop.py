@@ -11,24 +11,24 @@ cannot hold; that raises :class:`DiagramError`.
 ``closures(d)`` pairs off the legs of ``d`` in every way and groups the
 closed diagrams into isomorphism classes, each with its multiplicity and
 automorphism order.  It does not compose: a closure is ``d`` with the pairs
-of legs added as edges.  Aut(d) permutes the legs, and pairings in one orbit
-close to isomorphic diagrams, so a multiplicity is a sum of orbit sizes and
-one pairing per orbit is canonicalised.  The orbits are flooded under the
-generators that :func:`fdcalc.iso.automorphism_generators` returns, with a
-byte per pairing indexed by its rank in enumeration order.  A bare edge
+of legs added as edges.  Pairings that Aut(d) maps onto each other close to
+isomorphic diagrams, so the classes are unions of orbits.  The orbits come
+from the census's engine in :mod:`fdcalc.generate`, which walks leg
+multigraphs, where the legs of a symmetric vertex form one node, and yields
+one closure per orbit with its pairing count.  Each is canonicalised once,
+and a multiplicity is the sum of its class's pairing counts.  A bare edge
 raises :class:`DiagramError` up front, because the pairing of its own two
 ends closes a vertex-free circle, and so do more than ``MAX_CLOSURE_LEGS``
-legs, whose (L-1)!! pairings take half an hour or more to walk.
+legs: on cyclic or coupon vertices every leg is its own node, so 18 legs can
+mean 17!! (about 3.4e7) multigraphs to walk and keep.
 """
 from __future__ import annotations
-
-import math
-from array import array
 
 from .diagram import (
     Diagram, DiagramError, TypedDiagram, next_id, relabel_typed,
 )
-from .iso import automorphism_generators, canonical_code
+from .generate import _closure_orbits
+from .iso import canonical_code
 
 MAX_CLOSURE_LEGS = 16
 
@@ -160,35 +160,6 @@ def _pairings(items: tuple[int, ...]):
             yield ((first, second),) + more
 
 
-def _rank(mate: list[int]) -> int:
-    """Index of the pairing with partner map ``mate`` in the order of
-    ``_pairings(tuple(range(len(mate))))``: the mixed-radix number whose
-    digits are the positions of each pair's second item among those left."""
-    rest = list(range(len(mate)))
-    r = 0
-    while rest:
-        first = rest.pop(0)
-        i = rest.index(mate[first])
-        r = r * len(rest) + i
-        del rest[i]
-    return r
-
-
-def _unrank(r: int, n: int) -> list[int]:
-    """Partner map of the pairing of ``n`` items with index ``r``."""
-    digits = []
-    for radix in range(1, n, 2):
-        r, i = divmod(r, radix)
-        digits.append(i)
-    rest = list(range(n))
-    mate = [0] * n
-    for i in reversed(digits):
-        first = rest.pop(0)
-        second = rest.pop(i)
-        mate[first], mate[second] = second, first
-    return mate
-
-
 def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
     """Isomorphism classes of the closed diagrams produced by pairing off the
     legs of ``d``, as (representative, multiplicity, |Aut|), sorted by code.
@@ -196,14 +167,12 @@ def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
     Empty when the leg count is odd.  A bare edge raises
     :class:`DiagramError`, since the pairing of its two ends closes a circle
     with no vertex, and so does a leg count above ``MAX_CLOSURE_LEGS``.
-    The pairings are walked in ``_pairings`` order, which is rank order;
-    each one not yet seen starts an orbit under Aut(d), which is flooded,
-    counted, and closed and canonicalised once.  A multiplicity is the sum of its class's orbit
-    sizes, and a representative is the closure of the first pairing in its
-    class, on the half-edge ids of ``d``.
+    Each orbit of Aut(d) on the leg multigraphs is closed and canonicalised
+    once.  A multiplicity is the number of pairings in its class's orbits,
+    and a representative is the closure of the first multigraph of the
+    class in walk order, on the half-edge ids of ``d``.
     """
-    legs = d.legs
-    n = len(legs)
+    n = len(d.legs)
     if n % 2:
         return []
     if n > MAX_CLOSURE_LEGS:
@@ -211,37 +180,11 @@ def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
             f"closures take at most {MAX_CLOSURE_LEGS} legs, not {n}")
     if d.bare_pairs:
         raise DiagramError("composition closed a circle carrying no vertex")
-    # Each generator as a leg permutation p with its inverse: the image of a
-    # pairing with partner map ``mate`` is ``p[mate[q]]`` at ``p[q]``.
-    slot = {h: i for i, h in enumerate(legs)}
-    perms = {tuple(slot[g[h]] for h in legs)
-             for g in automorphism_generators(d)}
-    perms.discard(tuple(range(n)))
-    moves = [(p, sorted(range(n), key=p.__getitem__)) for p in perms]
-    seen = bytearray(math.prod(range(n - 1, 0, -2)))
     found: dict[bytes, list] = {}
-    r = seen.find(0)
-    while r >= 0:
-        seen[r] = 1
-        size = 1
-        # Ranks, not partner maps, wait to be expanded: an orbit can hold
-        # millions of pairings.
-        todo = array("q", (r,))
-        while todo:
-            mate = _unrank(todo.pop(), n)
-            for p, inverse in moves:
-                k = _rank([p[mate[q]] for q in inverse])
-                if not seen[k]:
-                    seen[k] = 1
-                    size += 1
-                    todo.append(k)
-        added = {(legs[a], legs[b]) for a, b in enumerate(_unrank(r, n))
-                 if a < b}
-        closed = Diagram(d.vertices, d.pairs | added, d.root_pairs)
+    for closed, ways in _closure_orbits(d):
         code = canonical_code(closed)
         if code.code in found:
-            found[code.code][1] += size
+            found[code.code][1] += ways
         else:
-            found[code.code] = [closed, size, code.aut_order]
-        r = seen.find(0, r + 1)
+            found[code.code] = [closed, ways, code.aut_order]
     return [tuple(entry) for _, entry in sorted(found.items())]

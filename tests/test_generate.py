@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,6 @@ from fdcalc.diagram import (
 )
 from fdcalc.generate import (
     DiagramClass, _leg_nodes, _star_multisets, enumerate_closed,
-    symmetric_power_aut, symmetric_power_check,
 )
 from fdcalc.iso import are_isomorphic, canonical_code
 from util import (
@@ -233,6 +233,30 @@ def test_filters_are_subsets():
     full = {c.key for c in enumerate_closed(table, max_degree=7)}
     conn = {c.key for c in enumerate_closed(table, max_degree=7, connected=True)}
     assert conn < full
+
+
+def symmetric_power_aut(d: Diagram) -> int:
+    """|Aut| predicted from the connected pieces of ``d``.
+
+    A disjoint union is a multiset of connected diagrams, so its
+    automorphisms are the automorphisms of the pieces extended by the
+    permutations of equal pieces: |Aut| = prod over distinct components c of
+    multiplicity! * |Aut c|^multiplicity.
+    """
+    mult: dict[bytes, tuple[int, int]] = {}
+    for comp in connected_components(d):
+        code = canonical_code(comp)
+        n, aut = mult.get(code.code, (0, code.aut_order))
+        mult[code.code] = (n + 1, aut)
+    out = 1
+    for n, aut in mult.values():
+        out *= factorial(n) * aut ** n
+    return out
+
+
+def symmetric_power_check(classes: list[DiagramClass]) -> bool:
+    """Does every class's |Aut| factor through its connected components?"""
+    return all(c.aut == symmetric_power_aut(c.rep) for c in classes)
 
 
 def test_symmetric_power_aut_on_stock_shapes():
