@@ -34,7 +34,7 @@ from .diagram import (
 )
 from .generate import enumerate_closed
 from .iso import aut_order
-from .poly import Poly, is_exact
+from .poly import Poly, invert_exact, is_exact
 from .prop import closures
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, groupoid_integral, variable_for,
@@ -46,34 +46,6 @@ COND_LIMIT = 1e12
 
 class AlgebraError(ValueError):
     pass
-
-
-# -- exact linear algebra helpers --------------------------------------------
-
-def _invert_exact(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    work = [[Fraction(mat[i, j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise AlgebraError("pairing matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r == col or not work[r][col]:
-                continue
-            f = work[r][col]
-            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = inv[i][j]
-    return out
 
 
 def _as_tensor(data, shape: tuple[int, ...], exact: bool) -> np.ndarray:
@@ -156,22 +128,19 @@ class AlgebraSpec:
         if not _tensors_equal(self.pairing, self.pairing.T, self.exact):
             raise AlgebraError("pairing matrix must be symmetric")
         if self.exact:
-            self.copairing = _invert_exact(self.pairing)
+            inverse, _ = invert_exact(self.pairing.tolist())
+            if inverse is None:
+                raise AlgebraError("pairing matrix is singular")
+            self.copairing = np.array(inverse, dtype=object)
+            self.eye = np.array([[Fraction(int(i == j)) for j in range(dim)]
+                                 for i in range(dim)], dtype=object)
         else:
             if np.linalg.cond(self.pairing) > COND_LIMIT:
                 raise AlgebraError("pairing matrix is ill conditioned")
             self.copairing = np.linalg.inv(self.pairing)
-        if self.exact:
-            self.eye = np.empty((dim, dim), dtype=object)
-            for i in range(dim):
-                for j in range(dim):
-                    self.eye[i, j] = Fraction(int(i == j))
-        else:
             self.eye = np.eye(dim)
 
-        self.coupon_tensors: dict[str, np.ndarray] = {}
-        self.cyclic_tensors: dict[str, np.ndarray] = {}
-        self.symmetric_tensors: dict[str, np.ndarray] = {}
+        self.tensors: dict[str, np.ndarray] = {}
         self._ordinary_of = {e.bold: e.name for e in table.ordinary()}
         for name, data in tensors.items():
             entry = table[name]
@@ -184,24 +153,19 @@ class AlgebraSpec:
                     if not _tensors_equal(arr, arr.transpose(perm), self.exact):
                         raise AlgebraError(
                             f"tensor {name!r} is not rotation invariant")
-                self.cyclic_tensors[name] = arr
             elif entry.kind == "symmetric":
                 for perm in _permutations(entry.valence):
                     if not _tensors_equal(arr, arr.transpose(perm), self.exact):
                         raise AlgebraError(
                             f"tensor {name!r} is not permutation invariant")
-                self.symmetric_tensors[name] = arr
-            else:
-                self.coupon_tensors[name] = arr
+            self.tensors[name] = arr
 
         # Integer forms of the spec's own arrays, keyed by id; the arrays
         # live as long as the spec, and the stored array guards the key.
         self._forms = {
             id(arr): (arr, *_integer_form(arr, self.exact))
             for arr in (self.pairing, self.copairing, self.eye,
-                        *self.coupon_tensors.values(),
-                        *self.cyclic_tensors.values(),
-                        *self.symmetric_tensors.values())}
+                        *self.tensors.values())}
 
     def _integer_form(self, arr: np.ndarray) -> tuple[np.ndarray, int]:
         """``arr`` over a common denominator, converted at construction
@@ -219,10 +183,8 @@ class AlgebraSpec:
             raise AlgebraError(str(exc)) from None
         name = self._ordinary_of.get(colour, entry.name) if entry.special \
             else entry.name
-        pool = {"coupon": self.coupon_tensors, "cyclic": self.cyclic_tensors,
-                "symmetric": self.symmetric_tensors}[entry.kind]
         try:
-            return pool[name]
+            return self.tensors[name]
         except KeyError:
             raise AlgebraError(f"no tensor loaded for colour {colour!r}") from None
 
@@ -252,11 +214,8 @@ class AlgebraSpec:
                                   -1, ax)
             return arr
 
-        tensors = {}
-        for pool in (self.coupon_tensors, self.cyclic_tensors,
-                     self.symmetric_tensors):
-            for name, arr in pool.items():
-                tensors[name] = convert(arr, self.table[name])
+        tensors = {name: convert(arr, self.table[name])
+                   for name, arr in self.tensors.items()}
         return AlgebraSpec(self.dim, np.eye(self.dim), self.table, tensors)
 
     def one(self):
@@ -537,28 +496,28 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
         colours = data["colours"]
         pairing = [_parse_number(x) for x in data["pairing"]]
         raw_tensors = data["tensors"]
+        entries = []
+        for c in colours:
+            kind = KIND_OF_SHORT.get(c.get("kind"), c.get("kind"))
+            if kind not in KIND_SHORT:
+                raise AlgebraError(f"unknown colour kind {c.get('kind')!r}")
+            if kind == "coupon":
+                arity = (int(c["inputs"]), int(c["outputs"]))
+            else:
+                arity = int(c["valence"])
+            bold = c.get("bold", c["name"].upper())
+            entries.append(ColourEntry(bold, kind, arity, special=True))
+            entries.append(ColourEntry(c["name"], kind, arity, bold=bold))
+        table = ColourTable(entries)
+        tensors = {name: [_parse_number(x) for x in flat]
+                   for name, flat in raw_tensors.items()}
     except KeyError as exc:
         raise AlgebraError(f"algebra file lacks field {exc}") from None
-
-    entries = []
-    for c in colours:
-        kind = KIND_OF_SHORT.get(c.get("kind"), c.get("kind"))
-        if kind not in KIND_SHORT:
-            raise AlgebraError(f"unknown colour kind {c.get('kind')!r}")
-        if kind == "coupon":
-            arity = (int(c["inputs"]), int(c["outputs"]))
-        else:
-            arity = int(c["valence"])
-        bold = c.get("bold", c["name"].upper())
-        entries.append(ColourEntry(bold, kind, arity, special=True))
-        entries.append(ColourEntry(c["name"], kind, arity, bold=bold))
-    try:
-        table = ColourTable(entries)
+    except (TypeError, AttributeError) as exc:
+        raise AlgebraError(f"malformed algebra file: {exc}") from None
     except ColourTableError as exc:
         raise AlgebraError(str(exc)) from None
 
-    tensors = {name: [_parse_number(x) for x in flat]
-               for name, flat in raw_tensors.items()}
     spec = AlgebraSpec(dim, np.asarray(pairing, dtype=object).reshape(dim, dim),
                        table, tensors)
     if data.get("orthonormalize"):

@@ -24,8 +24,9 @@ from .algebra import (AlgebraSpec, amplitude, expectation_value,
 from .colours import standard_table
 from .diagram import Diagram, Vertex, degree
 from .iso import canonical_code
-from .poly import Poly, is_exact
-from .series import DEFAULT_DEGREE, MultiSeries, Monomial, diagram_monomial
+from .poly import Poly, invert_exact, is_exact
+from .series import (DEFAULT_DEGREE, MultiSeries, Monomial, diagram_monomial,
+                     name_monomial)
 
 WICK_LIMIT = 12
 QUAD_DIM_LIMIT = 4
@@ -39,33 +40,16 @@ class GaussianError(ValueError):
     pass
 
 
-def _det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-enough elimination; rows are consumed."""
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 class GaussianSpec:
     """The weight exp(-q(v)/2) dv on R^dim, normalized to total mass one.
 
     ``pairing`` is the matrix of the quadratic form q.  It must be symmetric
-    and positive definite, which is checked through the leading principal
-    minors (exactly so when the entries are rational).  Moments are
-    polynomials in the inverse matrix, kept exact in rational mode.
+    and positive definite.  With rational entries one exact elimination
+    checks this and inverts the matrix: it is positive definite exactly
+    when every pivot is reached without a row exchange and is positive.
+    Float entries are checked through the leading principal minors.
+    Moments are polynomials in the inverse matrix, kept exact in rational
+    mode.
     """
 
     def __init__(self, dim: int, pairing):
@@ -82,19 +66,17 @@ class GaussianSpec:
             for j in range(i):
                 if mat[i][j] != mat[j][i]:
                     raise GaussianError("pairing must be symmetric")
-        for k in range(1, dim + 1):
-            lead = [row[:k] for row in mat[:k]]
-            minor = _det_exact(lead) if self.exact else np.linalg.det(
-                np.array(lead, dtype=float))
-            if minor <= 0:
-                raise GaussianError("pairing must be positive definite")
         if self.exact:
-            self.pairing = np.empty((dim, dim), dtype=object)
-            for i in range(dim):
-                for j in range(dim):
-                    self.pairing[i, j] = mat[i][j]
-            self.covariance = _invert_spd_exact(mat)
+            inverse, pivots = invert_exact(mat)
+            if not all(p is not None and p > 0 for p in pivots):
+                raise GaussianError("pairing must be positive definite")
+            # reshape keeps the 0 x 0 weight square
+            self.pairing = np.array(mat, dtype=object).reshape(dim, dim)
+            self.covariance = np.array(inverse, dtype=object).reshape(dim, dim)
         else:
+            for k in range(1, dim + 1):
+                if np.linalg.det(np.array([row[:k] for row in mat[:k]])) <= 0:
+                    raise GaussianError("pairing must be positive definite")
             self.pairing = np.array(mat, dtype=float)
             self.covariance = np.linalg.inv(self.pairing)
         self._moments: dict[tuple[int, ...], object] = {(): self.one()}
@@ -125,27 +107,6 @@ class GaussianSpec:
                       * self._moment(rest[:j] + rest[j + 1:]))
         self._moments[idx] = total
         return total
-
-
-def _invert_spd_exact(mat: list[list[Fraction]]) -> np.ndarray:
-    n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                          for j in range(n)]
-            for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if work[r][c])
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = Fraction(1) / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = work[i][n + j]
-    return out
 
 
 # -- moment tensors ------------------------------------------------------------
@@ -267,9 +228,7 @@ class FrtReport:
         keys = sorted(set(self.lhs.coeffs) | set(self.rhs.coeffs))
         out = []
         for m in keys:
-            mono = "*".join(f"{k.name}^{e}" if e > 1 else k.name
-                            for k, e in m) or "1"
-            out.append(f"{mono}\t{self.lhs.coefficient(m)}"
+            out.append(f"{name_monomial(m) or '1'}\t{self.lhs.coefficient(m)}"
                        f"\t{self.rhs.coefficient(m)}")
         out.append(f"max deviation\t{self.diff}")
         return out

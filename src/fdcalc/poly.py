@@ -3,6 +3,10 @@
 Terms map an exponent tuple (one entry per coordinate) to a coefficient.
 Coefficients may be Fractions, ints or floats; nothing here forces a choice,
 so exact and numeric pipelines share the type.
+
+The module also holds the one exact elimination, ``invert_exact``, which
+gives the copairing of an algebra and the covariance of a Gaussian weight
+together with the pivots behind its positivity check.
 """
 from __future__ import annotations
 
@@ -97,3 +101,37 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def invert_exact(rows) -> tuple[list[list[Fraction]] | None, list]:
+    """Gauss-Jordan inverse of a square matrix of exact scalars.
+
+    Returns ``(inverse, pivots)``; the inverse is None when the matrix is
+    singular.  ``pivots[c]`` is the diagonal entry that eliminates column c
+    while no row has been exchanged yet, and None from the first exchange
+    on.  Without exchanges the pivots are the ratios d_k / d_{k-1} of
+    successive leading principal minors, so a symmetric matrix is positive
+    definite exactly when every pivot is a positive number.
+    """
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                          for j in range(n)]
+            for i, row in enumerate(rows)]
+    pivots: list = [None] * n
+    exchanged = False
+    for c in range(n):
+        p = next((r for r in range(c, n) if work[r][c]), None)
+        if p is None:
+            return None, pivots
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            exchanged = True
+        if not exchanged:
+            pivots[c] = work[c][c]
+        inv = 1 / work[c][c]
+        work[c] = [x * inv for x in work[c]]
+        for r in range(n):
+            f = work[r][c]
+            if r != c and f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return [row[n:] for row in work], pivots

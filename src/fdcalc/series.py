@@ -218,13 +218,18 @@ class MultiSeries:
         if not self.coeffs:
             return f"0 (+O^{self.max_degree + 1})"
         bits = []
-        for m, c in sorted(self.coeffs.items(),
-                           key=lambda kv: (_mono_weight(kv[0]), kv[0])):
-            mono = "*".join(f"{k.name}^{e}" if e > 1 else k.name for k, e in m)
+        for m, c in sorted_terms(self):
+            mono = name_monomial(m)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits) + f" (+O^{self.max_degree + 1})"
 
     __repr__ = __str__
+
+
+def name_monomial(m: Monomial) -> str:
+    """Short text form: ``name`` factors with ``^e`` exponents, joined by
+    ``*``; the empty monomial prints as the empty string."""
+    return "*".join(f"{k.name}^{e}" if e > 1 else k.name for k, e in m)
 
 
 def format_monomial(m: Monomial) -> str:

@@ -262,9 +262,7 @@ def test_amplitude_invariant_under_relabelling(rng):
 def test_float_algebra_close_to_exact():
     rng = random.Random(47)
     a = frac_algebra(rng)
-    tensors = {name: arr.astype(float) for pool in
-               (a.coupon_tensors, a.cyclic_tensors, a.symmetric_tensors)
-               for name, arr in pool.items()}
+    tensors = {name: arr.astype(float) for name, arr in a.tensors.items()}
     b = AlgebraSpec(a.dim, a.pairing.astype(float), a.table, tensors)
     assert not b.exact
     for _ in range(40):
@@ -292,6 +290,19 @@ def test_pairing_must_be_symmetric_and_invertible():
         AlgebraSpec(2, [[F(1), F(1)], [F(0), F(1)]], table, tensors)
     with pytest.raises(AlgebraError):
         AlgebraSpec(2, [[F(1), F(1)], [F(1), F(1)]], table, tensors)
+
+
+def test_exact_pairing_that_needs_a_row_exchange():
+    # The swap is its own inverse; eliminating it exchanges the two rows.
+    swap = [[F(0), F(1)], [F(1), F(0)]]
+    a = AlgebraSpec(2, swap, quartic_table(), {"phi4": ones_tensor(2, 4)})
+    assert a.exact
+    assert a.copairing.shape == (2, 2)
+    assert a.copairing.tolist() == swap
+    assert all(type(x) is F for x in a.copairing.flat)
+    with pytest.raises(AlgebraError, match="pairing matrix is singular"):
+        AlgebraSpec(2, [[F(0), F(0)], [F(0), F(0)]], quartic_table(),
+                    {"phi4": ones_tensor(2, 4)})
 
 
 def test_tensor_invariance_checked():
@@ -346,7 +357,7 @@ def test_symmetric_valence_six_accepted():
     for idx in np.ndindex(*sym.shape):
         sym[idx] = F(1 + sum(idx), 1 + idx.count(0))
     a = AlgebraSpec(2, EYE2, table, {"s6": sym})
-    assert "s6" in a.symmetric_tensors
+    assert "s6" in a.tensors
 
 
 def test_tensors_only_on_ordinary_colours():
@@ -593,6 +604,22 @@ def test_load_algebra_float_mode_and_flags():
     assert load_algebra(doc).is_orthonormal
 
 
+# Documents that are not objects, and objects with a missing field or a
+# field of the wrong type.
+MALFORMED = ["[]", "3", "null", '"dim"'] + [
+    lambda doc: doc["colours"][0].pop("valence"),
+    lambda doc: doc["colours"][0].pop("name"),
+    lambda doc: doc["colours"][0].update(kind="coupon", inputs=2),
+    lambda doc: doc["colours"].__setitem__(0, "phi4"),
+    lambda doc: doc["colours"].__setitem__(0, ["phi4", "sym", 4]),
+    lambda doc: doc.__setitem__("colours", 4),
+    lambda doc: doc.__setitem__("tensors", ["1"]),
+    lambda doc: doc.__setitem__("tensors", {"phi4": 1}),
+    lambda doc: doc.__setitem__("pairing", None),
+    lambda doc: doc.__setitem__("dim", None),
+]
+
+
 def test_load_algebra_errors():
     doc = algebra_doc()
     del doc["pairing"]
@@ -606,3 +633,12 @@ def test_load_algebra_errors():
     doc["tensors"] = {"PHI4": ["1"]}
     with pytest.raises(AlgebraError):
         load_algebra(doc)
+    for case in MALFORMED:
+        if isinstance(case, str):
+            text = case
+        else:
+            doc = algebra_doc()
+            case(doc)
+            text = json.dumps(doc)
+        with pytest.raises(AlgebraError):
+            load_algebra(text)

@@ -192,6 +192,16 @@ def test_error_exits(files, tmp_path):
     assert rc == 2 and not out
     assert err.startswith("error: ") and "at most 16 legs" in err
 
+    no_valence = tmp_path / "no_valence.alg"
+    no_valence.write_text(json.dumps({
+        "dim": 1, "colours": [{"name": "phi4", "kind": "sym"}],
+        "pairing": ["1"], "tensors": {"phi4": ["1"]}}))
+    rc, out, err = run(["partition", "--algebra", str(no_valence),
+                        "--max-degree", "4"])
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and "valence" in err
+    assert "Traceback" not in err
+
 
 def test_reruns_are_byte_identical(files):
     for argv in (["enumerate", "--table", files["quartic.tbl"],

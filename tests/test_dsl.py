@@ -1,15 +1,17 @@
 """Diagram language and colour-table file round-trips."""
 
 import pytest
+from hypothesis import given, settings
 
 from fdcalc.colours import ColourTable
-from fdcalc.diagram import (Diagram, DiagramError, TypedDiagram, bare_edge,
-                            mark_root)
+from fdcalc.diagram import (Diagram, DiagramError, TypedDiagram, Vertex,
+                            bare_edge, mark_root)
 from fdcalc.dsl import (ParseError, format_table, parse_diagram, parse_table,
                         serialize_diagram)
 from fdcalc.generate import enumerate_closed
 from fdcalc.iso import are_isomorphic, canonical_code
 
+from test_iso_properties import diagrams
 from util import (coupon_table, cubic_table, cyclic_table, figure_eight,
                   mixed_table, quartic_table, theta)
 
@@ -77,6 +79,19 @@ def test_cyclic_slot_order_is_the_written_order():
     for d in (adjacent, crossing):
         again = parse_diagram(serialize_diagram(d))
         assert are_isomorphic(d, again)
+
+
+def _unmarked(d: Diagram) -> Diagram:
+    """``d`` without root marks, which the text cannot hold, and without
+    special flags, which come from a colour table when parsing."""
+    return Diagram(tuple(Vertex(v.kind, v.colour, v.slots, v.n_in)
+                         for v in d.vertices), d.pairs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(diagrams(valences=(1, 4)).map(_unmarked))
+def test_serialize_parse_round_trip(d):
+    assert parse_diagram(serialize_diagram(d)) == d
 
 
 def test_coupon_inputs_come_first():

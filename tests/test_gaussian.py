@@ -15,7 +15,7 @@ from fdcalc.gaussian import (
 from fdcalc.poly import Poly
 from fdcalc.prop import edge_pairings
 from fdcalc.series import partition_series, variable_for
-from util import quartic_table
+from util import mixed_table, quartic_table
 
 PD2 = [[F(2), F(1)], [F(1), F(1)]]
 
@@ -73,6 +73,27 @@ def test_pairing_validation():
         GaussianSpec(2, [[F(1)]])
     assert GaussianSpec(2, PD2).exact
     assert not GaussianSpec(2, [[2.0, 1.0], [1.0, 1.0]]).exact
+
+
+@pytest.mark.parametrize("pairing", [
+    [[0, 1], [1, 0]],  # invertible, but only after a row exchange
+    [[1, 1], [1, 1]],  # singular
+    [[1, 0, 2], [0, 1, 0], [2, 0, 1]],  # leading minors 1, 1, -3
+], ids=["swap", "singular", "third-minor-negative"])
+@pytest.mark.parametrize("scalar", [F, float])
+def test_pairing_not_positive_definite(pairing, scalar):
+    with pytest.raises(GaussianError, match="must be positive definite"):
+        GaussianSpec(len(pairing), [[scalar(x) for x in row]
+                                    for row in pairing])
+
+
+def test_exact_covariance_inverts_pairing():
+    rng = random.Random(7)
+    for dim in range(1, 5):
+        g = GaussianSpec(dim, random_pd(rng, dim))
+        assert g.covariance.shape == g.pairing.shape == (dim, dim)
+        assert all(type(x) is F for x in g.covariance.flat)
+        assert (g.pairing.dot(g.covariance) == np.eye(dim)).all()
 
 
 def test_wick_moment_frozen_values():
@@ -260,6 +281,10 @@ def test_frt_report_lines():
     lines = r.lines()
     assert lines[0].startswith("1\t1\t1")
     assert lines[-1] == "max deviation\t0"
+    r = frt_check(EMPTY, ones_algebra(mixed_table()), with_potential=True,
+                  max_degree=7)
+    assert r.lines() == ["1\t1\t1", "phi3^2\t5/24\t5/24", "phi4\t1/8\t1/8",
+                         "max deviation\t0"]
 
 
 # -- Taylor expansion through stars -------------------------------------------------

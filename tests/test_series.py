@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcalc.diagram import disjoint_union, symmetric_star
 from fdcalc.generate import enumerate_closed
@@ -73,6 +75,37 @@ def test_exp_log_roundtrip():
     assert t.coefficient(()) == 1
     assert t.coefficient(((u, 1),)) == 1
     assert t.coefficient(((u, 2),)) == F(15, 2)  # 7 + 1/2
+
+
+KEYS = [VariableKey("u", 1), VariableKey("v", 2), VariableKey("w", 3)]
+
+
+@st.composite
+def series_without_constant(draw) -> MultiSeries:
+    max_degree = draw(st.integers(0, 7))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 5))):
+        mono = tuple(sorted(
+            (k, e) for k in KEYS if (e := draw(st.integers(0, 3)))))
+        if mono:
+            coeffs[mono] = F(draw(st.integers(-5, 5)), draw(st.integers(1, 6)))
+    return MultiSeries(coeffs, max_degree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_without_constant())
+def test_log_inverts_exp(s):
+    assert s.exp().log() == s
+
+
+def test_series_text_is_pinned():
+    u, v = VariableKey("u", 1), VariableKey("v", 2)
+    s = MultiSeries({(): F(-1, 3), ((u, 2), (v, 1)): 4, ((v, 1),): F(1, 2)}, 4)
+    assert str(s) == "-1/3 + 1/2*v + 4*u^2*v (+O^5)"
+    assert str(MultiSeries.zero(5)) == "0 (+O^6)"
+    table = mixed_table()
+    diff = partition_series(table, 10) - free_energy_series(table, 10)
+    assert str(diff) == "1 + 1/128*phi4^2 + 5/192*phi3^2*phi4 (+O^11)"
 
 
 def test_domain_errors():
