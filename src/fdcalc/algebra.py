@@ -409,8 +409,11 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
     the series is constant; with it, over all closed diagrams of bounded
     degree containing ``g`` as the marked piece.  An odd number of legs
     leaves nothing to sum in the constant case, so the result is 0 rather
-    than an error.
+    than an error.  A negative ``max_degree`` raises :class:`DiagramError`
+    either way.
     """
+    if max_degree < 0:
+        raise DiagramError("max_degree must be nonnegative")
     if with_potential:
         root = g if (g.vertices or g.pairs) else None
         classes = enumerate_closed(a.table, max_degree=max_degree, root=root)
@@ -440,9 +443,6 @@ class EdgeColouring:
             raise DiagramError("a colouring must cover the internal edges exactly")
         if any(c < 0 for _, c in self.eta):
             raise DiagramError("colour indices start at 0")
-
-    def colour_of(self, pair: tuple[int, int]) -> int:
-        return dict(self.eta)[tuple(sorted(pair))]
 
 
 def expand_colourings(d: Diagram, dim: int) -> list[EdgeColouring]:

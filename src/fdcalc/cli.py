@@ -12,6 +12,7 @@ import json
 import sys
 
 from .algebra import expectation_value, load_algebra
+from .colours import ColourTable
 from .diagram import Diagram, DiagramError, TypedDiagram
 from .dsl import parse_diagram, parse_table, serialize_diagram
 from .generate import enumerate_closed
@@ -30,9 +31,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_diagram(path: str, table_path: str | None):
-    table = parse_table(_read(table_path)) if table_path else None
+def _load_table(path: str | None) -> ColourTable | None:
+    return parse_table(_read(path)) if path else None
+
+
+def _load_diagram(path: str, table: ColourTable | None):
     return parse_diagram(_read(path), table)
+
+
+def _load_untyped(path: str, table: ColourTable | None) -> Diagram:
+    """A diagram file's diagram, without its type header if it has one."""
+    d = _load_diagram(path, table)
+    return d.base if isinstance(d, TypedDiagram) else d
 
 
 def _one_line(d: Diagram) -> str:
@@ -51,36 +61,28 @@ def _series_rows(s) -> tuple[list, dict]:
 # -- command handlers --------------------------------------------------------
 
 def _cmd_aut(args):
-    code = canonical_code(_load_diagram(args.file, args.table))
+    code = canonical_code(_load_diagram(args.file, _load_table(args.table)))
     rows = [["aut", code.aut_order], ["code", code.code.hex()]]
     return rows, {"aut": code.aut_order, "code": code.code.hex()}, 0
 
 
-def _typed(path: str, table_path: str | None) -> TypedDiagram:
-    d = _load_diagram(path, table_path)
+def _typed(path: str, table: ColourTable | None) -> TypedDiagram:
+    d = _load_diagram(path, table)
     if not isinstance(d, TypedDiagram):
         raise DiagramError(f"{path}: needs a type header to be composed")
     return d
 
 
-def _cmd_compose(args):
-    out = compose(_typed(args.first, args.table),
-                  _typed(args.second, args.table))
-    text = serialize_diagram(out)
-    return [[text.rstrip("\n")]], {"diagram": text}, 0
-
-
-def _cmd_tensor(args):
-    out = tensor(_typed(args.first, args.table),
-                 _typed(args.second, args.table))
+def _cmd_wire(args):
+    table = _load_table(args.table)
+    out = args.operation(_typed(args.first, table),
+                         _typed(args.second, table))
     text = serialize_diagram(out)
     return [[text.rstrip("\n")]], {"diagram": text}, 0
 
 
 def _cmd_closures(args):
-    d = _load_diagram(args.file, args.table)
-    if isinstance(d, TypedDiagram):
-        d = d.base
+    d = _load_untyped(args.file, _load_table(args.table))
     found = [(mult, aut, _one_line(closed))
              for closed, mult, aut in closures(d)]
     rows = [list(row) for row in found]
@@ -91,11 +93,7 @@ def _cmd_closures(args):
 
 def _cmd_enumerate(args):
     table = parse_table(_read(args.table))
-    root = None
-    if args.root:
-        root = parse_diagram(_read(args.root), table)
-        if isinstance(root, TypedDiagram):
-            root = root.base
+    root = _load_untyped(args.root, table) if args.root else None
     classes = enumerate_closed(table, max_degree=args.max_degree, root=root,
                                connected=args.connected, reduced=args.reduced)
     rows, items = [], []
@@ -142,9 +140,7 @@ def _cmd_free_energy(args):
 
 def _cmd_expect(args):
     a = load_algebra(_read(args.algebra))
-    d = parse_diagram(_read(args.file), a.table)
-    if isinstance(d, TypedDiagram):
-        d = d.base
+    d = _load_untyped(args.file, a.table)
     s = expectation_value(d, a, with_potential=args.potential,
                           max_degree=args.max_degree)
     rows, obj = _series_rows(s)
@@ -173,11 +169,7 @@ def _cmd_verify_expfz(args):
 
 def _cmd_verify_frt(args):
     a = load_algebra(_read(args.algebra))
-    root = None
-    if args.root:
-        root = parse_diagram(_read(args.root), a.table)
-        if isinstance(root, TypedDiagram):
-            root = root.base
+    root = _load_untyped(args.root, a.table) if args.root else None
     check = verify.check_frt(a, root, with_potential=args.potential,
                              max_degree=args.max_degree)
     return _finish_check(check)
@@ -204,15 +196,15 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--table", help="colour table fixing special colours")
     q.set_defaults(handler=_cmd_aut)
 
-    for name, handler, blurb in (
-            ("compose", _cmd_compose, "plug the second diagram's outputs"
+    for name, operation, blurb in (
+            ("compose", compose, "plug the second diagram's outputs"
              " into the first diagram's inputs"),
-            ("tensor", _cmd_tensor, "place two typed diagrams side by side")):
+            ("tensor", tensor, "place two typed diagrams side by side")):
         q = sub.add_parser(name, parents=[fmt], help=blurb)
         q.add_argument("first")
         q.add_argument("second")
         q.add_argument("--table")
-        q.set_defaults(handler=handler)
+        q.set_defaults(handler=_cmd_wire, operation=operation)
 
     q = sub.add_parser("closures", parents=[fmt],
                        help="close off the legs in every possible way")

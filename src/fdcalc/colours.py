@@ -8,9 +8,9 @@ kinds exist, differing in how their slots may be permuted:
 * ``symmetric`` -- one slot set, arbitrary permutations.
 
 Every colour is ordinary or special.  Each ordinary colour has exactly one
-special partner of the same kind and arity (the ``bold_of`` map, injective).
-Ordinary vertices carry a formal variable and contribute their valence to a
-diagram's degree; special vertices contribute nothing.
+special partner of the same kind and arity (the ``bold`` partner map,
+injective).  Ordinary vertices carry a formal variable and contribute their
+valence to a diagram's degree; special vertices contribute nothing.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ class ColourTable:
                 raise ColourTableError(f"bad colour name {e.name!r}")
             if e.name in names:
                 raise ColourTableError(f"duplicate colour {e.name!r}")
-            if e.kind not in ("coupon", "cyclic", "symmetric"):
+            if e.kind not in KIND_SHORT:
                 raise ColourTableError(f"unknown kind {e.kind!r}")
             if e.kind == "coupon":
                 if not (isinstance(e.arity, tuple) and len(e.arity) == 2):
@@ -88,9 +88,6 @@ class ColourTable:
     def __iter__(self):
         return iter(self._entries)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def __getitem__(self, name: str) -> ColourEntry:
         try:
             return self._by_name[name]
@@ -100,15 +97,6 @@ class ColourTable:
     def ordinary(self) -> tuple[ColourEntry, ...]:
         return tuple(e for e in self._entries if not e.special)
 
-    def bold_of(self, name: str) -> str:
-        e = self[name]
-        if e.special:
-            raise ColourTableError(f"{name!r} is already special")
-        assert e.bold is not None
-        return e.bold
-
-    def colours(self, kind: str, arity: Arity) -> tuple[str, ...]:
-        return tuple(e.name for e in self._entries if e.kind == kind and e.arity == arity)
 
 
 def standard_table(*specs: tuple[str, str, Arity]) -> ColourTable:

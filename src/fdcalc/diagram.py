@@ -31,9 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .colours import ColourTable
-
-KINDS = ("coupon", "cyclic", "symmetric")
+from .colours import KIND_SHORT, ColourTable
 
 
 class DiagramError(ValueError):
@@ -61,7 +59,7 @@ class Vertex:
     root: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_SHORT:
             raise DiagramError(f"unknown vertex kind {self.kind!r}")
         if len(set(self.slots)) != len(self.slots):
             raise DiagramError(f"duplicate slot in vertex {self.colour!r}")

@@ -15,13 +15,17 @@ node pair.  The isomorphs that remain are the images under the automorphisms
 of the stars and the root (vertex swaps, cyclic rotations), which permute the
 nodes.  An isomorphism of two closures of one piece restricts to an
 automorphism of the piece, so the classes over one star multiset are exactly
-the orbits of its automorphism group on the multigraphs.  One engine,
-``_closure_orbits``, walks the multigraphs in order; the first one of each
-orbit floods the orbit under the generators that
-:func:`fdcalc.iso.automorphism_generators` returns, and it alone is
-instantiated, with the number of matchings its orbit stands for.  The census
-filters and canonicalises these closures, and :func:`fdcalc.prop.closures`
-sums their matching counts by class.
+the orbits of its automorphism group on the multigraphs.  The multigraphs
+are walked partner by partner (``_multigraphs``): the first node with legs
+left takes its next partner, the highest first, so each multigraph comes
+out once, as its sorted edge codes, in descending lexicographic order.
+The same walk on single-leg nodes lists the perfect pairings behind
+:func:`fdcalc.prop.edge_pairings`.  One engine, ``_closure_orbits``, walks
+the multigraphs in that order; the first one of each orbit floods the orbit
+under the generators that :func:`fdcalc.iso.automorphism_generators`
+returns, and it alone is instantiated, with the number of matchings its
+orbit stands for.  The census filters and canonicalises these closures, and
+:func:`fdcalc.prop.closures` sums their matching counts by class.
 """
 from __future__ import annotations
 
@@ -184,40 +188,31 @@ def _multigraphs(caps: tuple[int, ...]):
 
     Yields each multigraph as the sorted tuple of its edge codes ``a*n + b``
     over node pairs ``a <= b`` (``a == b`` for a loop), one code per edge.
-    The walk goes node by node: node ``a``'s loop count, then its
-    multiplicities towards nodes ``a+1, ..., n-1``, each tried from low to
-    high, so the codes come out in order.
+    The walk goes partner by partner: the first node ``a`` with legs left
+    takes its next partner ``b``, tried from ``n-1`` down to the partner
+    ``a`` took last (or ``a`` itself, a loop, when it has taken none), so
+    the tuples come out in descending lexicographic order.  A branch that
+    strands a leg yields nothing.
     """
     n = len(caps)
+    rem = list(caps)
 
-    def rec(a: int, rem: tuple[int, ...], head: tuple[int, ...]):
+    def rec(a: int, low: int, head: tuple[int, ...]):
+        while a < n and not rem[a]:
+            a += 1
+            low = a
         if a == n:
             yield head
             return
-        r = rem[a]
-        for loops in range(r // 2 + 1):
-            for codes, left in _distribute(r - 2 * loops, rem, a + 1, a * n,
-                                           head + (a * n + a,) * loops):
-                yield from rec(a + 1, left, codes)
+        rem[a] -= 1
+        for b in range(n - 1, low - 1, -1):
+            if rem[b]:
+                rem[b] -= 1
+                yield from rec(a, b, head + (a * n + b,))
+                rem[b] += 1
+        rem[a] += 1
 
-    return rec(0, caps, ())
-
-
-def _distribute(total: int, rem: tuple[int, ...], b: int, row: int,
-                head: tuple[int, ...]):
-    """Spread ``total`` edges from one node over the nodes from ``b`` on, at
-    most ``rem[c]`` to node ``c``, appending code ``row + c`` per edge to
-    ``head``; yields the codes and the capacities left."""
-    if not total:
-        yield head, rem
-        return
-    while b < len(rem) and not rem[b]:
-        b += 1
-    if total > sum(rem[b:]):
-        return
-    for m in range(min(total, rem[b]) + 1):
-        yield from _distribute(total - m, rem[:b] + (rem[b] - m,) + rem[b + 1:],
-                               b + 1, row, head + (row + b,) * m)
+    return rec(0, 0, ())
 
 
 def _instantiate(nodes: list[list[int]], graph) -> set[tuple[int, int]]:

@@ -66,10 +66,6 @@ class CanonicalCode:
     code: bytes
     aut_order: int
 
-    @property
-    def hex(self) -> str:
-        return self.code.hex()
-
 
 def _leg_tokens(t: TypedDiagram) -> dict[int, int]:
     """Endpoint numbers as half-edge tags: input k is 2k+1, output k is 2k+2

@@ -29,12 +29,6 @@ class Poly:
     def constant(cls, dim: int, c) -> "Poly":
         return cls(dim, {(0,) * dim: c})
 
-    @classmethod
-    def coordinate(cls, dim: int, i: int) -> "Poly":
-        e = [0] * dim
-        e[i] = 1
-        return cls(dim, {tuple(e): 1})
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 

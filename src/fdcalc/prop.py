@@ -27,7 +27,7 @@ from __future__ import annotations
 from .diagram import (
     Diagram, DiagramError, TypedDiagram, next_id, relabel_typed,
 )
-from .generate import _closure_orbits
+from .generate import _closure_orbits, _multigraphs
 from .iso import canonical_code
 
 MAX_CLOSURE_LEGS = 16
@@ -134,30 +134,23 @@ def compose(g: TypedDiagram, f: TypedDiagram) -> TypedDiagram:
 def edge_pairings(k: int) -> list[TypedDiagram]:
     """All perfect pairings of ``k`` numbered outputs, as rows of bare edges.
 
-    Empty for odd ``k``, (k-1)!! diagrams otherwise, each rigid.
+    Empty for odd ``k``, (k-1)!! diagrams otherwise, each rigid.  The
+    pairings are the leg multigraphs of ``k`` single-leg nodes, in the
+    reverse of the census walk's order: the lowest unpaired output takes
+    its partner from low to high.
     """
     if k % 2:
         return []
     out: list[TypedDiagram] = []
-    for pairing in _pairings(tuple(range(k))):
-        pairs = frozenset((2 * i, 2 * i + 1) for i in range(k // 2))
+    pairs = frozenset((2 * i, 2 * i + 1) for i in range(k // 2))
+    for graph in reversed(list(_multigraphs((1,) * k))):
         outs = [0] * k
-        for i, (a, b) in enumerate(pairing):
+        for i, code in enumerate(graph):
+            a, b = divmod(code, k)
             outs[a] = 2 * i
             outs[b] = 2 * i + 1
         out.append(TypedDiagram(Diagram((), pairs), (), tuple(outs)))
     return out
-
-
-def _pairings(items: tuple[int, ...]):
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for i, second in enumerate(rest):
-        sub = rest[:i] + rest[i + 1:]
-        for more in _pairings(sub):
-            yield ((first, second),) + more
 
 
 def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:

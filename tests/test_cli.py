@@ -202,6 +202,14 @@ def test_error_exits(files, tmp_path):
     assert err.startswith("error: ") and "valence" in err
     assert "Traceback" not in err
 
+    for argv in (["verify", "frt", "--algebra", files["quartic.alg"],
+                  "--max-degree", "-1"],
+                 ["expect", files["star4.fd"], "--algebra",
+                  files["quartic.alg"], "--max-degree", "-2"]):
+        rc, out, err = run(argv)
+        assert rc == 2 and not out, argv
+        assert err == "error: max_degree must be nonnegative\n", argv
+
 
 def test_reruns_are_byte_identical(files):
     for argv in (["enumerate", "--table", files["quartic.tbl"],

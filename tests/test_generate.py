@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -8,7 +10,7 @@ from fdcalc.diagram import (
     degree, disjoint_union, mark_root, star_for, symmetric_star,
 )
 from fdcalc.generate import (
-    DiagramClass, _leg_nodes, _star_multisets, enumerate_closed,
+    DiagramClass, _leg_nodes, _multigraphs, _star_multisets, enumerate_closed,
 )
 from fdcalc.iso import are_isomorphic, canonical_code
 from util import (
@@ -211,6 +213,46 @@ def test_degree_guard():
         enumerate_closed(quartic_table(), max_degree=17)
     with pytest.raises(DiagramError):
         enumerate_closed(quartic_table(), max_degree=-1)
+
+
+def multigraphs_by_matchings(caps):
+    """Independent oracle: every perfect matching of the leg tokens, each
+    as its sorted edge codes, duplicates removed, in descending order.
+
+    A matching is listed as the partner index that the lowest unmatched leg
+    takes among the legs left, one ``itertools.product`` coordinate per
+    pair.
+    """
+    n = len(caps)
+    owner = [a for a, c in enumerate(caps) for _ in range(c)]
+    graphs = set()
+    for choice in itertools.product(*map(range, range(len(owner) - 1, 0, -2))):
+        left = list(range(len(owner)))
+        codes = []
+        for k in choice:
+            a = owner[left.pop(0)]
+            b = owner[left.pop(k)]
+            codes.append(min(a, b) * n + max(a, b))
+        graphs.add(tuple(sorted(codes)))
+    return sorted(graphs, reverse=True)
+
+
+def _capacity_vectors():
+    """Random capacities (1-6 nodes, 1-4 legs each, even total), then every
+    all-singleton vector up to 12 nodes.  Totals stay at most 12, since the
+    oracle lists all (total - 1)!! matchings."""
+    rng = random.Random(8)
+    out = []
+    while len(out) < 60:
+        caps = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+        if sum(caps) % 2 == 0 and sum(caps) <= 12:
+            out.append(caps)
+    return out + [(1,) * k for k in range(0, 13, 2)]
+
+
+@pytest.mark.parametrize("caps", _capacity_vectors(), ids=str)
+def test_multigraph_walk_matches_matching_oracle(caps):
+    assert list(_multigraphs(caps)) == multigraphs_by_matchings(caps)
 
 
 @pytest.mark.parametrize("table,maxdeg,root", [

@@ -139,6 +139,34 @@ def test_edge_pairings_counts():
     assert edge_pairings(5) == []
 
 
+def old_pairings(items):
+    """The recursion edge_pairings once ran on: the first item takes each
+    later one in turn."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for i, second in enumerate(rest):
+        for more in old_pairings(rest[:i] + rest[i + 1:]):
+            yield ((first, second),) + more
+
+
+@pytest.mark.parametrize("k", range(0, 11, 2))
+def test_edge_pairings_order_is_pinned(k):
+    expected = []
+    for pairing in old_pairings(tuple(range(k))):
+        outs = [0] * k
+        for i, (a, b) in enumerate(pairing):
+            outs[a] = 2 * i
+            outs[b] = 2 * i + 1
+        expected.append(tuple(outs))
+    rows = edge_pairings(k)
+    assert [t.outs for t in rows] == expected
+    bare = frozenset((2 * i, 2 * i + 1) for i in range(k // 2))
+    assert all(t.ins == () and t.base.pairs == bare and not t.base.vertices
+               for t in rows)
+
+
 def test_edge_pairings_rigid_and_distinct():
     seen = set()
     for t in edge_pairings(6):
