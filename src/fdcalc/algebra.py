@@ -28,6 +28,7 @@ import numpy as np
 
 from .colours import (
     KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
+    partner_name,
 )
 from .diagram import (
     Diagram, DiagramError, TypedDiagram, mark_root, star_for,
@@ -230,6 +231,13 @@ def _upper_halves(d: Diagram) -> frozenset[int]:
 
 
 def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool) -> np.ndarray:
+    """The matrix joining two ends, given whether each end is upper.
+
+    The pairing joins two upper ends, the copairing joins two lower ends,
+    and the identity joins anything else.  A coupon output slot is an upper
+    end, and so is an input endpoint, so that an input axis comes out lower
+    and an output axis upper.
+    """
     if up1 and up2:
         return a.pairing
     if up1 or up2:
@@ -237,21 +245,10 @@ def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool) -> np.ndarray:
     return a.copairing
 
 
-def _trace_doubled(arr: np.ndarray, labs: list):
-    """Sum out every label that occurs twice within one operand."""
-    for lab in [L for i, L in enumerate(labs) if L in labs[i + 1:]]:
-        i1 = labs.index(lab)
-        i2 = labs.index(lab, i1 + 1)
-        arr = np.asarray(arr.diagonal(axis1=i1, axis2=i2).sum(-1),
-                         dtype=arr.dtype)
-        labs = [L for i, L in enumerate(labs) if i not in (i1, i2)]
-    return arr, labs
-
-
 def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
     """Contract doubled labels away along a greedy pairwise plan.
 
-    Labels doubled inside one operand are traced out first.  Then, while
+    Every doubled label names an axis of two different operands.  While
     two operands share labels, the pair whose contraction has the fewest
     entries (ties to the lowest operand indices) is contracted over all the
     labels it shares in one step; outer products join what is left.  Exact
@@ -269,7 +266,7 @@ def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
     for k, (arr, labs) in enumerate(ops):
         ints, den = a._integer_form(arr)
         scale *= den
-        work[k] = _trace_doubled(ints, list(labs))
+        work[k] = (ints, list(labs))
     owners: dict[int, list[int]] = {}
     extent: dict[int, int] = {}
     for k, (arr, labs) in work.items():
@@ -304,7 +301,7 @@ def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
             np.multiply.outer(result, arr), dtype=arr.dtype)
         labels += labs
     if result is None:
-        return a.one() if not ext else None
+        return a.one()
     if result.ndim == 0:
         value = result.item()
         return Fraction(value, scale) if a.exact else value
@@ -345,20 +342,11 @@ def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec, *,
     for h in d.legs:
         if h in d.free_halves:
             continue
-        want_up = role[h][0] == "out"
-        is_up = h in upper
-        if want_up == is_up:
-            op = a.eye
-        elif want_up:
-            op = a.copairing
-        else:
-            op = a.pairing
-        ops.append((op, [h, role[h]]))
+        ops.append((_edge_operand(a, h in upper, role[h][0] == "in"),
+                    [h, role[h]]))
     for f1, f2 in sorted(d.bare_pairs):
         r1, r2 = role[f1], role[f2]
-        n_out = (r1[0] == "out") + (r2[0] == "out")
-        op = (a.pairing, a.eye, a.copairing)[n_out]
-        ops.append((op, [r1, r2]))
+        ops.append((_edge_operand(a, r1[0] == "in", r2[0] == "in"), [r1, r2]))
 
     ext = [("in", k) for k in range(t.src)] + \
           [("out", k) for k in range(t.tgt)]
@@ -385,18 +373,17 @@ def leg_polynomial(d: Diagram, a: AlgebraSpec) -> Poly:
     return Poly(a.dim, terms)
 
 
-def interaction_terms(a: AlgebraSpec, table: ColourTable | None = None
-                      ) -> tuple[tuple[VariableKey, Poly], ...]:
+def interaction_terms(a: AlgebraSpec) -> tuple[tuple[VariableKey, Poly], ...]:
     """Interaction terms: one (variable, star polynomial / |Aut star|) per
-    ordinary colour.  The star's own automorphisms supply the weight, which
-    lands on 1/n! for symmetric, 1/n for cyclic and 1 for coupon colours.
+    ordinary colour of ``a``'s table.  The star's own automorphisms supply
+    the weight, which lands on 1/n! for symmetric, 1/n for cyclic and 1 for
+    coupon colours.
     """
-    table = a.table if table is None else table
     out = []
-    for entry in sorted(table.ordinary(), key=lambda e: e.name):
+    for entry in sorted(a.table.ordinary(), key=lambda e: e.name):
         star = star_for(entry)
         p = leg_polynomial(star, a) * Fraction(1, aut_order(star))
-        out.append((variable_for(table, entry.name), p))
+        out.append((variable_for(a.table, entry.name), p))
     return tuple(out)
 
 
@@ -488,7 +475,8 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
     Fields: ``dim``; ``colours`` (name, kind, valence or inputs/outputs,
     bold partner name); ``pairing`` and per-colour ``tensors`` as row-major
     flat arrays whose entries are numbers or exact "p/q" strings; optional
-    ``orthonormalize`` flag.  All-string entries select the exact mode.
+    ``orthonormalize`` flag.  All-string entries select the exact mode.  A
+    colour without ``bold`` gets the partner :func:`partner_name` gives.
     """
     data = json.loads(src) if isinstance(src, str) else src
     try:
@@ -505,7 +493,7 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
                 arity = (int(c["inputs"]), int(c["outputs"]))
             else:
                 arity = int(c["valence"])
-            bold = c.get("bold", c["name"].upper())
+            bold = c.get("bold", partner_name(c["name"]))
             entries.append(ColourEntry(bold, kind, arity, special=True))
             entries.append(ColourEntry(c["name"], kind, arity, bold=bold))
         table = ColourTable(entries)
@@ -518,8 +506,7 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
     except ColourTableError as exc:
         raise AlgebraError(str(exc)) from None
 
-    spec = AlgebraSpec(dim, np.asarray(pairing, dtype=object).reshape(dim, dim),
-                       table, tensors)
+    spec = AlgebraSpec(dim, pairing, table, tensors)
     if data.get("orthonormalize"):
         spec = spec.orthonormalized()
     return spec

@@ -154,12 +154,11 @@ def _finish_check(check: verify.CheckResult):
     return rows, obj, 0 if check.ok else 1
 
 
-def _cmd_verify_wick(args):
-    return _finish_check(verify.check_wick())
-
-
-def _cmd_verify_taylor(args):
-    return _finish_check(verify.check_taylor())
+def _cmd_verify_fixed(args):
+    """``verify wick``, ``fubini`` and ``taylor``, which take no input.  The
+    check function is the subparser's default for ``check``; it replaces
+    the subcommand name that the ``verify`` subparsers store there."""
+    return _finish_check(args.check())
 
 
 def _cmd_verify_expfz(args):
@@ -173,10 +172,6 @@ def _cmd_verify_frt(args):
     check = verify.check_frt(a, root, with_potential=args.potential,
                              max_degree=args.max_degree)
     return _finish_check(check)
-
-
-def _cmd_verify_fubini(args):
-    return _finish_check(verify.check_coverings())
 
 
 # -- wiring ------------------------------------------------------------------
@@ -247,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = vsub.add_parser("wick", parents=[fmt],
                         help="moment recursion against quadrature")
-    q.set_defaults(handler=_cmd_verify_wick)
+    q.set_defaults(handler=_cmd_verify_fixed, check=verify.check_wick)
 
     q = vsub.add_parser("frt", parents=[fmt],
                         help="diagram sum against the Gaussian average")
@@ -266,11 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = vsub.add_parser("fubini", parents=[fmt],
                         help="integration identities on stock coverings")
-    q.set_defaults(handler=_cmd_verify_fubini)
+    q.set_defaults(handler=_cmd_verify_fixed, check=verify.check_coverings)
 
     q = vsub.add_parser("taylor", parents=[fmt],
                         help="star-diagram Taylor sums against evaluation")
-    q.set_defaults(handler=_cmd_verify_taylor)
+    q.set_defaults(handler=_cmd_verify_fixed, check=verify.check_taylor)
 
     return p
 

@@ -98,17 +98,22 @@ class ColourTable:
         return tuple(e for e in self._entries if not e.special)
 
 
+def partner_name(name: str) -> str:
+    """The default name of an ordinary colour's special partner: the name
+    upper-cased, or the name plus ``_S`` when upper-casing changes nothing."""
+    upper = name.upper()
+    return upper if upper != name else name + "_S"
+
 
 def standard_table(*specs: tuple[str, str, Arity]) -> ColourTable:
     """Build a table from ``(kind, name, arity)`` triples of ordinary colours.
 
     Each ordinary colour gets an auto-registered special partner named by
-    upper-casing (or suffixing ``_S`` when upper-casing does not change the
-    name).
+    :func:`partner_name`.
     """
     entries: list[ColourEntry] = []
     for kind, name, arity in specs:
-        partner = name.upper() if name.upper() != name else name + "_S"
+        partner = partner_name(name)
         entries.append(ColourEntry(partner, kind, arity, special=True))
         entries.append(ColourEntry(name, kind, arity, bold=partner))
     return ColourTable(entries)

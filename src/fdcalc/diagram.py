@@ -279,30 +279,30 @@ def build_diagram(vertices: list[tuple[str, str, tuple[int, ...]]] | list[Vertex
 
 # -- stock shapes -----------------------------------------------------------
 
-def symmetric_star(colour: str, n: int, *, special: bool = False, start: int = 0) -> Diagram:
-    return Diagram((Vertex("symmetric", colour, tuple(range(start, start + n)),
+def symmetric_star(colour: str, n: int, *, special: bool = False) -> Diagram:
+    return Diagram((Vertex("symmetric", colour, tuple(range(n)),
                            special=special),))
 
 
-def cyclic_star(colour: str, n: int, *, special: bool = False, start: int = 0) -> Diagram:
-    return Diagram((Vertex("cyclic", colour, tuple(range(start, start + n)),
+def cyclic_star(colour: str, n: int, *, special: bool = False) -> Diagram:
+    return Diagram((Vertex("cyclic", colour, tuple(range(n)),
                            special=special),))
 
 
-def coupon_star(colour: str, m: int, n: int, *, special: bool = False, start: int = 0) -> Diagram:
-    return Diagram((Vertex("coupon", colour, tuple(range(start, start + m + n)),
+def coupon_star(colour: str, m: int, n: int, *, special: bool = False) -> Diagram:
+    return Diagram((Vertex("coupon", colour, tuple(range(m + n)),
                            n_in=m, special=special),))
 
 
-def star_for(entry, *, special: bool | None = None, start: int = 0) -> Diagram:
-    """Single-vertex diagram for a colour-table entry."""
-    sp = entry.special if special is None else special
+def star_for(entry) -> Diagram:
+    """Single-vertex diagram for a colour-table entry, special when the
+    entry is."""
     if entry.kind == "coupon":
         m, n = entry.arity
-        return coupon_star(entry.name, m, n, special=sp, start=start)
+        return coupon_star(entry.name, m, n, special=entry.special)
     if entry.kind == "cyclic":
-        return cyclic_star(entry.name, entry.arity, special=sp, start=start)
-    return symmetric_star(entry.name, entry.arity, special=sp, start=start)
+        return cyclic_star(entry.name, entry.arity, special=entry.special)
+    return symmetric_star(entry.name, entry.arity, special=entry.special)
 
 
 def bare_edge(start: int = 0) -> Diagram:

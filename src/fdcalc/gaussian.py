@@ -290,7 +290,9 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
     The order-n term attaches n copies of ``v`` to a fully symmetric vertex
     carrying the order-n derivative tensor of ``phi`` at zero; the diagram
     machinery supplies the 1/n! through |Aut| of the star.  The report pairs
-    that sum with the plain evaluation phi(v).
+    that sum with the plain evaluation phi(v).  The sum is exact when every
+    coefficient and coordinate is an int or a Fraction, in doubles
+    otherwise; the stars' algebra gets the raw entries and converts them.
     """
     if phi.degree() > TAYLOR_DEGREE_LIMIT:
         raise GaussianError(f"degree capped at {TAYLOR_DEGREE_LIMIT}")
@@ -308,24 +310,20 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
 
     specs = [("symmetric", f"d{n}", n) for n in orders]
     specs.append(("symmetric", "vec", 1))
-    table = standard_table(*specs)
-    zero = Fraction(0) if exact else 0.0
-    tensors = {}
+    tensors = {"vec": list(point)}
     for n in orders:
-        t = np.full((dim,) * n, zero, dtype=object if exact else float)
+        t = np.zeros((dim,) * n, dtype=object)
         for idx in np.ndindex(*t.shape):
             e = tuple(idx.count(i) for i in range(dim))
             c = phi.terms.get(e)
             if c:
                 t[idx] = c * prod(factorial(k) for k in e)
         tensors[f"d{n}"] = t
-    vec = np.empty((dim,), dtype=object) if exact else np.empty((dim,))
-    for i, x in enumerate(point):
-        vec[i] = Fraction(x) if exact else float(x)
-    tensors["vec"] = vec
-    eye = [[Fraction(int(i == j)) if exact else float(i == j)
-            for j in range(dim)] for i in range(dim)]
-    a = AlgebraSpec(dim, eye, table, tensors)
+    # AlgebraSpec infers the mode from the entries.  A float constant term
+    # is in no tensor, so the identity pairing carries the mode for it.
+    one = 1 if exact else 1.0
+    eye = [[one * (i == j) for j in range(dim)] for i in range(dim)]
+    a = AlgebraSpec(dim, eye, standard_table(*specs), tensors)
 
     for n in orders:
         star = Diagram(

@@ -167,9 +167,9 @@ def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):
 
 def _leg_nodes(base: Diagram) -> list[list[int]]:
     """Matchable leg groups: one bucket per symmetric vertex, one singleton
-    per cyclic or coupon slot."""
-    if base.free_halves:
-        raise DiagramError("enumeration pieces may not contain bare edges")
+    per cyclic or coupon slot.  ``base`` has no bare edges: census pieces
+    pass through :func:`fdcalc.diagram.mark_root`, and
+    :func:`fdcalc.prop.closures` refuses them first."""
     matched = base.partner
     nodes: list[list[int]] = []
     for v in base.vertices:

@@ -25,7 +25,8 @@ mean 17!! (about 3.4e7) multigraphs to walk and keep.
 from __future__ import annotations
 
 from .diagram import (
-    Diagram, DiagramError, TypedDiagram, next_id, relabel_typed,
+    Diagram, DiagramError, TypedDiagram, disjoint_union, next_id,
+    relabel_typed,
 )
 from .generate import _closure_orbits, _multigraphs
 from .iso import canonical_code
@@ -58,11 +59,9 @@ def tensor(a: TypedDiagram, b: TypedDiagram) -> TypedDiagram:
     """Disjoint union; ``b``'s half-edge ids are shifted past ``a``'s and its
     endpoint numbers follow ``a``'s."""
     off = next_id(a.base)
-    bb = relabel_typed(b, {h: h + off for h in b.base.half_edges})
-    base = Diagram(a.base.vertices + bb.base.vertices,
-                   a.base.pairs | bb.base.pairs,
-                   a.base.root_pairs | bb.base.root_pairs)
-    return TypedDiagram(base, a.ins + bb.ins, a.outs + bb.outs)
+    return TypedDiagram(disjoint_union(a.base, b.base),
+                        a.ins + tuple(h + off for h in b.ins),
+                        a.outs + tuple(h + off for h in b.outs))
 
 
 def compose(g: TypedDiagram, f: TypedDiagram) -> TypedDiagram:
@@ -113,9 +112,7 @@ def compose(g: TypedDiagram, f: TypedDiagram) -> TypedDiagram:
             raise DiagramError("composition closed a circle carrying no vertex")
         right = walk(other)
         free_ends = [t for t in (left, right) if t not in anchored]
-        if len(free_ends) == 0:
-            new_pairs.add((left, right))
-        elif len(free_ends) == 2:
+        if len(free_ends) != 1:
             new_pairs.add((left, right))
         else:
             slot_end = left if right in free_ends else right
@@ -142,14 +139,14 @@ def edge_pairings(k: int) -> list[TypedDiagram]:
     if k % 2:
         return []
     out: list[TypedDiagram] = []
-    pairs = frozenset((2 * i, 2 * i + 1) for i in range(k // 2))
+    base = Diagram((), frozenset((2 * i, 2 * i + 1) for i in range(k // 2)))
     for graph in reversed(list(_multigraphs((1,) * k))):
         outs = [0] * k
         for i, code in enumerate(graph):
             a, b = divmod(code, k)
             outs[a] = 2 * i
             outs[b] = 2 * i + 1
-        out.append(TypedDiagram(Diagram((), pairs), (), tuple(outs)))
+        out.append(TypedDiagram(base, (), tuple(outs)))
     return out
 
 

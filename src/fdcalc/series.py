@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .colours import ColourTable
 from .diagram import Diagram, DiagramError
@@ -162,43 +163,25 @@ class MultiSeries:
     # -- transcendental operations ----------------------------------------
 
     def exp(self) -> "MultiSeries":
+        """exp(t) = sum t^k / k!, for t = self."""
         if self.coefficient(()):
             raise ValueError("exp needs a vanishing constant term")
-        acc = MultiSeries.constant(1, self.max_degree)
-        term = acc
-        for k in range(1, self.max_degree + 1):
-            term = term * self / k
-            if not term.coeffs:
-                break
-            acc = acc + term
-        return acc
+        return _power_sum(self, lambda k: Fraction(1, factorial(k)))
 
     def log(self) -> "MultiSeries":
+        """log(1 + t) = sum (-1)^(k+1) t^k / k over k >= 1, for t = self - 1."""
         if self.coefficient(()) != 1:
             raise ValueError("log needs constant term 1")
-        t = self - 1
-        acc = MultiSeries.zero(self.max_degree)
-        power = MultiSeries.constant(1, self.max_degree)
-        for k in range(1, self.max_degree + 1):
-            power = power * t
-            if not power.coeffs:
-                break
-            acc = acc + power * Fraction((-1) ** (k + 1), k)
-        return acc
+        return _power_sum(self - 1,
+                          lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
     def reciprocal(self) -> "MultiSeries":
+        """1/(c(1 + t)) = sum (-t)^k / c, for c the constant term and
+        t = self/c - 1."""
         c = self.coefficient(())
         if not c:
             raise ValueError("cannot invert a series without constant term")
-        t = self / c - 1
-        acc = MultiSeries.zero(self.max_degree)
-        power = MultiSeries.constant(1, self.max_degree)
-        for _ in range(self.max_degree + 1):
-            acc = acc + power
-            power = power * (-t)
-            if not power.coeffs:
-                break
-        return acc / c
+        return _power_sum(self / c - 1, lambda k: (-1) ** k) / c
 
     def derivative(self, key: VariableKey) -> "MultiSeries":
         acc: dict[Monomial, Fraction] = {}
@@ -224,6 +207,22 @@ class MultiSeries:
         return " + ".join(bits) + f" (+O^{self.max_degree + 1})"
 
     __repr__ = __str__
+
+
+def _power_sum(t: MultiSeries, coeff) -> MultiSeries:
+    """sum coeff(k) * t^k over k >= 0, for ``t`` without constant term.
+
+    Every term of t^k weighs at least k, so the powers vanish past
+    ``t.max_degree`` and the sum stops at the first power that does.
+    """
+    acc = MultiSeries.zero(t.max_degree)
+    power = MultiSeries.constant(1, t.max_degree)
+    k = 0
+    while power.coeffs:
+        acc = acc + power * coeff(k)
+        k += 1
+        power = power * t
+    return acc
 
 
 def name_monomial(m: Monomial) -> str:

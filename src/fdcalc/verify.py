@@ -56,14 +56,15 @@ def _random_poly(rng: random.Random, dim: int, max_degree: int,
     return Poly(dim, coeffs)
 
 
-def check_wick(cases: int = WICK_CASES, max_degree: int = 8) -> CheckResult:
-    """Pairing-sum moments against Gauss-Hermite quadrature."""
+def check_wick() -> CheckResult:
+    """Pairing-sum moments against Gauss-Hermite quadrature, on
+    ``WICK_CASES`` random polynomials of degree at most 8."""
     rng = random.Random(_SEED)
     lines, ok = [], True
-    for i in range(cases):
+    for i in range(WICK_CASES):
         dim = 1 + i % 3
         g = GaussianSpec(dim, _random_pd(rng, dim))
-        p = _random_poly(rng, dim, max_degree, terms=6)
+        p = _random_poly(rng, dim, 8, terms=6)
         exact = float(poly_average(p, g))
         quad = quadrature_average(p, g)
         good = abs(exact - quad) <= max(REL_TOL * max(abs(exact), abs(quad)),
@@ -75,13 +76,14 @@ def check_wick(cases: int = WICK_CASES, max_degree: int = 8) -> CheckResult:
     return _verdict("wick", ok, lines)
 
 
-def check_taylor(cases: int = TAYLOR_CASES, max_degree: int = 6) -> CheckResult:
-    """Star-diagram Taylor reconstruction against direct evaluation."""
+def check_taylor() -> CheckResult:
+    """Star-diagram Taylor reconstruction against direct evaluation, on
+    ``TAYLOR_CASES`` random polynomials of degree at most 6."""
     rng = random.Random(_SEED + 1)
     lines, ok = [], True
-    for i in range(cases):
+    for i in range(TAYLOR_CASES):
         dim = 1 + i % 3
-        p = _random_poly(rng, dim, max_degree, terms=5)
+        p = _random_poly(rng, dim, 6, terms=5)
         v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                   for _ in range(dim))
         rep = taylor_stars(p, v)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcalc.algebra import (
-    AlgebraError, AlgebraSpec, _contract, amplitude, amplitude_coloured,
+    AlgebraError, AlgebraSpec, amplitude, amplitude_coloured,
     expand_colourings, expectation_value, load_algebra, leg_polynomial,
     interaction_terms,
 )
@@ -235,14 +235,6 @@ def test_amplitude_matches_brute_force_sum():
         done += 1
     assert seen == {"self-loop", "bare edge", "coupon", "disconnected",
                     "closed"}
-
-
-def test_contract_traces_a_label_doubled_in_one_operand():
-    a = frac_algebra(random.Random(3))
-    assert _contract([(a.pairing, [0, 0])], [], a) == F(2, 3) + F(3)
-    ext = [("in", 0), ("out", 0)]
-    got = _contract([(a.pairing, [0, 0]), (a.copairing, ext)], ext, a)
-    assert _same(got, (F(2, 3) + F(3)) * a.copairing)
 
 
 RELABEL_ALGEBRA = frac_algebra(random.Random(43))
@@ -594,6 +586,17 @@ def test_load_algebra_exact_mode():
                              ).coefficient(()) == F(1, 8)
 
 
+def test_load_algebra_upper_case_colour_gets_suffixed_partner():
+    doc = algebra_doc()
+    doc["colours"] = [{"name": "G", "kind": "sym", "valence": 4}]
+    doc["tensors"] = {"G": ["1"]}
+    a = load_algebra(doc)
+    assert a.table["G"].bold == "G_S" and a.table["G_S"].special
+    assert load_algebra(algebra_doc() | {"colours": [
+        {"name": "phi4", "kind": "sym", "valence": 4}]}
+        ).table["phi4"].bold == "PHI4"
+
+
 def test_load_algebra_float_mode_and_flags():
     doc = algebra_doc()
     doc["pairing"] = [1.0]
@@ -617,6 +620,8 @@ MALFORMED = ["[]", "3", "null", '"dim"'] + [
     lambda doc: doc.__setitem__("tensors", {"phi4": 1}),
     lambda doc: doc.__setitem__("pairing", None),
     lambda doc: doc.__setitem__("dim", None),
+    lambda doc: doc.__setitem__("dim", -1),
+    lambda doc: doc.__setitem__("pairing", ["1", "0", "0"]),
 ]
 
 

@@ -202,6 +202,15 @@ def test_error_exits(files, tmp_path):
     assert err.startswith("error: ") and "valence" in err
     assert "Traceback" not in err
 
+    for doc, message in (({"pairing": ["1", "0", "0"]}, "shape (3,)"),
+                         ({"dim": -1}, "dim must be positive")):
+        bad_size = tmp_path / "bad_size.alg"
+        bad_size.write_text(json.dumps(json.loads(QUARTIC_ALG) | doc))
+        rc, out, err = run(["partition", "--algebra", str(bad_size),
+                            "--max-degree", "4"])
+        assert rc == 2 and not out
+        assert err.startswith("error: ") and message in err
+
     for argv in (["verify", "frt", "--algebra", files["quartic.alg"],
                   "--max-degree", "-1"],
                  ["expect", files["star4.fd"], "--algebra",
@@ -209,6 +218,17 @@ def test_error_exits(files, tmp_path):
         rc, out, err = run(argv)
         assert rc == 2 and not out, argv
         assert err == "error: max_degree must be nonnegative\n", argv
+
+
+def test_upper_case_colour_loads(files, tmp_path):
+    alg = tmp_path / "up.alg"
+    alg.write_text(json.dumps({
+        "dim": 1, "colours": [{"name": "G", "kind": "sym", "valence": 4}],
+        "pairing": ["1"], "tensors": {"G": ["1"]}}))
+    rc, out, err = run(["partition", "--algebra", str(alg),
+                        "--max-degree", "8"])
+    assert (rc, err) == (0, "")
+    assert out == "1\t1\nx[G,4]\t1/8\nx[G,4]^2\t35/384\n"
 
 
 def test_reruns_are_byte_identical(files):

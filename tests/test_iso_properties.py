@@ -1,4 +1,5 @@
-"""Property tests for the canonical search against the brute-force oracle.
+"""Property tests for the canonical search against the brute-force oracle,
+and for the PROP laws of ``compose`` and ``tensor`` up to isomorphism.
 
 The strategy reaches the corners ``util.random_diagram`` never does:
 valence-0 vertices, bare edges, root marks on vertices and edges, cyclic
@@ -9,8 +10,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcalc.diagram import Diagram, TypedDiagram, Vertex, relabel, relabel_typed
+from fdcalc.diagram import (
+    Diagram, DiagramError, TypedDiagram, Vertex, next_id, relabel,
+    relabel_typed,
+)
 from fdcalc.iso import aut_order, aut_order_bruteforce, canonical_code
+from fdcalc.prop import compose, identity, tensor
 
 import util
 from test_iso import _bruteforce_iso
@@ -56,6 +61,28 @@ def typed_diagrams(draw) -> TypedDiagram:
     legs = draw(st.permutations(d.legs))
     k = draw(st.integers(0, len(legs)))
     return TypedDiagram(d, tuple(legs[:k]), tuple(legs[k:]))
+
+
+@st.composite
+def typed_with_src(draw, src: int) -> TypedDiagram:
+    """A typed diagram with ``src`` inputs.  Bare edges are added when the
+    drawn diagram has fewer than ``src`` legs."""
+    d = draw(diagrams())
+    nid = next_id(d)
+    bare = {(nid + 2 * k, nid + 2 * k + 1)
+            for k in range((max(0, src - len(d.legs)) + 1) // 2)}
+    d = Diagram(d.vertices, d.pairs | bare, d.root_pairs)
+    legs = draw(st.permutations(d.legs))
+    return TypedDiagram(d, tuple(legs[:src]), tuple(legs[src:]))
+
+
+@st.composite
+def chains(draw, length: int) -> list[TypedDiagram]:
+    """Typed diagrams f_1, ..., f_length with f_{i+1} composable after f_i."""
+    out = [draw(typed_diagrams())]
+    while len(out) < length:
+        out.append(draw(typed_with_src(out[-1].tgt)))
+    return out
 
 
 def _shuffled(d: Diagram, rng: random.Random) -> Diagram:
@@ -116,3 +143,48 @@ def test_switched_codes_equal_iff_isomorphic(d, rng):
     e = _switched(d, rng)
     same = canonical_code(d).code == canonical_code(e).code
     assert same == _bruteforce_iso(d, e)
+
+
+def _code_or_error(build) -> bytes | None:
+    """The canonical code of ``build()``, or None if it raises DiagramError
+    (a composition that closes a circle carrying no vertex)."""
+    try:
+        return canonical_code(build()).code
+    except DiagramError:
+        return None
+
+
+def _same(left, right):
+    """Both sides build isomorphic typed diagrams, or both raise."""
+    assert _code_or_error(left) == _code_or_error(right)
+
+
+@SETTINGS
+@given(chains(3))
+def test_compose_is_associative(fgh):
+    f, g, h = fgh
+    _same(lambda: compose(h, compose(g, f)),
+          lambda: compose(compose(h, g), f))
+
+
+@SETTINGS
+@given(typed_diagrams())
+def test_compose_has_identities(t):
+    _same(lambda: compose(identity(t.tgt), t), lambda: t)
+    _same(lambda: compose(t, identity(t.src)), lambda: t)
+
+
+@SETTINGS
+@given(typed_diagrams(), typed_diagrams(), typed_diagrams())
+def test_tensor_is_associative_with_unit(a, b, c):
+    _same(lambda: tensor(tensor(a, b), c), lambda: tensor(a, tensor(b, c)))
+    _same(lambda: tensor(identity(0), a), lambda: a)
+    _same(lambda: tensor(a, identity(0)), lambda: a)
+
+
+@SETTINGS
+@given(chains(2), chains(2))
+def test_interchange_law(fg1, fg2):
+    (f1, g1), (f2, g2) = fg1, fg2
+    _same(lambda: compose(tensor(g1, g2), tensor(f1, f2)),
+          lambda: tensor(compose(g1, f1), compose(g2, f2)))

@@ -98,6 +98,14 @@ def test_log_inverts_exp(s):
     assert s.exp().log() == s
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_without_constant(),
+       st.fractions(-9, 9, max_denominator=9).filter(bool))
+def test_reciprocal_inverts(t, c):
+    s = t + c
+    assert s * s.reciprocal() == MultiSeries.constant(1, s.max_degree)
+
+
 def test_series_text_is_pinned():
     u, v = VariableKey("u", 1), VariableKey("v", 2)
     s = MultiSeries({(): F(-1, 3), ((u, 2), (v, 1)): 4, ((v, 1),): F(1, 2)}, 4)
