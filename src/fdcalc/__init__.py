@@ -13,17 +13,16 @@ the diagram sums against direct Gaussian integrals.
 import types as _types
 
 from .algebra import (AlgebraError, AlgebraSpec, amplitude,
-                      amplitude_coloured, expand_colourings,
-                      expectation_value, interaction_terms, leg_polynomial,
-                      load_algebra)
+                      amplitude_coloured, expectation_value,
+                      interaction_terms, leg_polynomial, load_algebra)
 from .colours import ColourEntry, ColourTable, ColourTableError
 from .coverings import (CoveringError, CoveringInstance, CoveringReport,
                         colouring_covering, covering_report, cut_covering,
                         numbering_covering)
 from .diagram import (Diagram, DiagramError, TypedDiagram, Vertex, bare_edge,
                       build_diagram, connected_components, coupon_star,
-                      cyclic_star, degree, disjoint_union, forget_numbering,
-                      mark_root, symmetric_star)
+                      cyclic_star, degree, disjoint_union, expand_colourings,
+                      forget_numbering, mark_root, symmetric_star)
 from .dsl import (ParseError, format_table, parse_diagram, parse_table,
                   serialize_diagram)
 from .gaussian import (GaussianError, GaussianSpec, average_with_potential,

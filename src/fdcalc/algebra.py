@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +30,7 @@ from .colours import (
     partner_name,
 )
 from .diagram import (
-    Diagram, DiagramError, TypedDiagram, mark_root, star_for,
+    Diagram, DiagramError, EdgeColouring, TypedDiagram, mark_root, star_for,
 )
 from .generate import enumerate_closed
 from .iso import aut_order
@@ -307,8 +306,6 @@ def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
         return Fraction(value, scale) if a.exact else value
     if a.exact:
         result = _over(result, scale)
-    if not ext:
-        return result
     perm = [labels.index(L) for L in ext]
     return result.transpose(perm)
 
@@ -414,32 +411,6 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
 
 
 # -- edge colourings ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class EdgeColouring:
-    """A diagram plus a basis index on each internal edge."""
-
-    base: Diagram
-    eta: tuple[tuple[tuple[int, int], int], ...]
-
-    def __post_init__(self):
-        eta = tuple(sorted((tuple(sorted(p)), c) for p, c in dict(self.eta).items()))
-        object.__setattr__(self, "eta", eta)
-        internal = sorted(self.base.pairs - self.base.bare_pairs)
-        if [p for p, _ in self.eta] != internal:
-            raise DiagramError("a colouring must cover the internal edges exactly")
-        if any(c < 0 for _, c in self.eta):
-            raise DiagramError("colour indices start at 0")
-
-
-def expand_colourings(d: Diagram, dim: int) -> list[EdgeColouring]:
-    """All dim^edges ways of putting a basis index on each internal edge."""
-    internal = sorted(d.pairs - d.bare_pairs)
-    out = []
-    for combo in itertools.product(range(dim), repeat=len(internal)):
-        out.append(EdgeColouring(d, tuple(zip(internal, combo))))
-    return out
-
 
 def amplitude_coloured(c: EdgeColouring, a: AlgebraSpec):
     """Amplitude with each coloured edge replaced by the projection onto its

@@ -16,11 +16,11 @@ edges of a closed diagram with a finite palette (degree n^edges).
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 
-from .algebra import EdgeColouring
-from .diagram import Diagram, TypedDiagram, Vertex, next_id
+from .diagram import (Diagram, EdgeColouring, TypedDiagram, Vertex,
+                      expand_colourings, next_id)
 from .iso import canonical_code
 from .prop import compose
 
@@ -192,13 +192,13 @@ def reassemble(pair: tuple[TypedDiagram, TypedDiagram]) -> Diagram:
 
 # -- colouring the edges ---------------------------------------------------------
 
-def _spliced(d: Diagram, eta: dict[tuple[int, int], int]) -> Diagram:
+def _spliced(c: EdgeColouring) -> Diagram:
+    d = c.base
     fresh = next_id(d)
     verts = list(d.vertices)
     pairs = []
-    for e in sorted(d.pairs):
-        a, b = e
-        verts.append(Vertex("symmetric", f"{MARKER_PREFIX}{eta[e]}",
+    for (a, b), colour in c.eta:
+        verts.append(Vertex("symmetric", f"{MARKER_PREFIX}{colour}",
                             (fresh, fresh + 1), special=True))
         pairs.extend([(a, fresh), (b, fresh + 1)])
         fresh += 2
@@ -217,12 +217,9 @@ def colouring_covering(d: Diagram, n: int) -> CoveringInstance:
         raise CoveringError("edge colourings need a closed diagram")
     if n < 1:
         raise CoveringError("palette must be nonempty")
-    edges = sorted(d.pairs)
     items = []
-    for combo in product(range(n), repeat=len(edges)):
-        eta = dict(zip(edges, combo))
-        code = canonical_code(_spliced(d, eta))
-        items.append((code.code, EdgeColouring(d, tuple(eta.items())),
-                      code.aut_order))
-    return CoveringInstance("colouring", n ** len(edges), d,
+    for c in expand_colourings(d, n):
+        code = canonical_code(_spliced(c))
+        items.append((code.code, c, code.aut_order))
+    return CoveringInstance("colouring", n ** len(d.pairs), d,
                             canonical_code(d).aut_order, _group(items))

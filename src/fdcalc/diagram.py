@@ -28,7 +28,7 @@ All types are frozen; every operation returns new values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .colours import KIND_SHORT, ColourTable
@@ -191,6 +191,30 @@ class TypedDiagram:
     @property
     def tgt(self) -> int:
         return len(self.outs)
+
+
+@dataclass(frozen=True)
+class EdgeColouring:
+    """A diagram plus a basis index on each internal edge."""
+
+    base: Diagram
+    eta: tuple[tuple[tuple[int, int], int], ...]
+
+    def __post_init__(self):
+        eta = tuple(sorted((tuple(sorted(p)), c) for p, c in dict(self.eta).items()))
+        object.__setattr__(self, "eta", eta)
+        internal = sorted(self.base.pairs - self.base.bare_pairs)
+        if [p for p, _ in self.eta] != internal:
+            raise DiagramError("a colouring must cover the internal edges exactly")
+        if any(c < 0 for _, c in self.eta):
+            raise DiagramError("colour indices start at 0")
+
+
+def expand_colourings(d: Diagram, dim: int) -> list[EdgeColouring]:
+    """All dim^edges ways of putting a basis index on each internal edge."""
+    internal = sorted(d.pairs - d.bare_pairs)
+    return [EdgeColouring(d, tuple(zip(internal, combo)))
+            for combo in itertools.product(range(dim), repeat=len(internal))]
 
 
 def degree(d: Diagram | TypedDiagram) -> int:

@@ -27,7 +27,7 @@ import re
 from .colours import (
     KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
 )
-from .diagram import Diagram, DiagramError, TypedDiagram, build_diagram
+from .diagram import DiagramError, TypedDiagram, build_diagram
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[().,=;-]|#[^\n]*|\s+|.")
 

@@ -163,7 +163,7 @@ def quadrature_average(p: Poly, g: GaussianSpec) -> float:
         u = np.array([nodes[i] for i in combo])
         v = sqrt(2.0) * (lower @ u)
         total += prod(weights[i] for i in combo) * float(p.evaluate(v))
-    return total / pi ** (g.dim / 2)
+    return float(total / pi ** (g.dim / 2))
 
 
 # -- formal averages against a potential ---------------------------------------

@@ -16,13 +16,14 @@ of the stars and the root (vertex swaps, cyclic rotations), which permute the
 nodes.  An isomorphism of two closures of one piece restricts to an
 automorphism of the piece, so the classes over one star multiset are exactly
 the orbits of its automorphism group on the multigraphs.  The multigraphs
-are walked partner by partner (``_multigraphs``): the first node with legs
-left takes its next partner, the highest first, so each multigraph comes
-out once, as its sorted edge codes, in descending lexicographic order.
-The same walk on single-leg nodes lists the perfect pairings behind
-:func:`fdcalc.prop.edge_pairings`.  One engine, ``_closure_orbits``, walks
-the multigraphs in that order; the first one of each orbit floods the orbit
-under the generators that :func:`fdcalc.iso.automorphism_generators`
+are walked partner by partner (:func:`multigraphs`): the first node with
+legs left takes its next partner, the highest first, so each multigraph
+comes out once, as its sorted edge codes, in descending lexicographic order;
+:func:`node_pairs` reads the codes back as node pairs.  The same walk on
+single-leg nodes lists the perfect pairings behind
+:func:`fdcalc.prop.edge_pairings`.  One engine, :func:`closure_orbits`,
+walks the multigraphs in that order; the first one of each orbit floods the
+orbit under the generators that :func:`fdcalc.iso.automorphism_generators`
 returns, and it alone is instantiated, with the number of matchings its
 orbit stands for.  The census filters and canonicalises these closures, and
 :func:`fdcalc.prop.closures` sums their matching counts by class.
@@ -85,7 +86,7 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
                 base = disjoint_union(base, star_for(entry))
         if len(base.legs) % 2:
             continue
-        for d, _ in _closure_orbits(base):
+        for d, _ in closure_orbits(base):
             if connected and len(connected_components(d)) != 1:
                 continue
             if reduced and not _is_reduced(d):
@@ -100,18 +101,18 @@ def _is_reduced(d: Diagram) -> bool:
                for comp in connected_components(d))
 
 
-def _closure_orbits(piece: Diagram):
+def closure_orbits(piece: Diagram):
     """Closures of ``piece``, one per orbit of Aut(piece) on its leg
     multigraphs, each with the number of leg pairings its orbit stands for.
 
-    The multigraphs are walked in ``_multigraphs`` order.  The first one of
+    The multigraphs are walked in :func:`multigraphs` order.  The first one of
     each orbit floods the orbit under the generators that
     :func:`fdcalc.iso.automorphism_generators` returns, and it alone is
     instantiated.  Every multigraph of an orbit stands for the same number of
     pairings, prod c_a! / (prod 2^l_a l_a! * prod m_ab!) over the node
     capacities c_a, loop counts l_a and edge multiplicities m_ab.
     """
-    nodes = _leg_nodes(piece)
+    nodes = leg_nodes(piece)
     n = len(nodes)
     caps = tuple(map(len, nodes))
     # Each automorphism of the piece as a map of edge codes a*n + b.
@@ -123,7 +124,7 @@ def _closure_orbits(piece: Diagram):
               for a in range(n) for b in range(n)] for p in perms]
     fill = prod(map(factorial, caps))
     seen: set[tuple[int, ...]] = set()
-    for graph in _multigraphs(caps):
+    for graph in multigraphs(caps):
         if graph in seen:
             continue
         before = len(seen)
@@ -137,10 +138,9 @@ def _closure_orbits(piece: Diagram):
                     seen.add(image)
                     todo.append(image)
         ways = 1
-        for code, m in Counter(graph).items():
-            a, b = divmod(code, n)
+        for (a, b), m in Counter(node_pairs(graph, n)).items():
             ways *= factorial(m) << m if a == b else factorial(m)
-        pairs = _instantiate(nodes, graph)
+        pairs = instantiate(nodes, graph)
         yield (Diagram(piece.vertices, piece.pairs | pairs, piece.root_pairs),
                (len(seen) - before) * fill // ways)
 
@@ -165,7 +165,7 @@ def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):
     return rec(0, budget)
 
 
-def _leg_nodes(base: Diagram) -> list[list[int]]:
+def leg_nodes(base: Diagram) -> list[list[int]]:
     """Matchable leg groups: one bucket per symmetric vertex, one singleton
     per cyclic or coupon slot.  ``base`` has no bare edges: census pieces
     pass through :func:`fdcalc.diagram.mark_root`, and
@@ -183,7 +183,7 @@ def _leg_nodes(base: Diagram) -> list[list[int]]:
     return nodes
 
 
-def _multigraphs(caps: tuple[int, ...]):
+def multigraphs(caps: tuple[int, ...]):
     """Loop counts and pairwise multiplicities filling every capacity.
 
     Yields each multigraph as the sorted tuple of its edge codes ``a*n + b``
@@ -215,13 +215,15 @@ def _multigraphs(caps: tuple[int, ...]):
     return rec(0, 0, ())
 
 
-def _instantiate(nodes: list[list[int]], graph) -> set[tuple[int, int]]:
+def node_pairs(graph, n: int) -> list[tuple[int, int]]:
+    """The node pairs ``(a, b)`` behind the edge codes ``a*n + b`` of a
+    multigraph on ``n`` nodes, in the order of ``graph``."""
+    return [divmod(code, n) for code in graph]
+
+
+def instantiate(nodes: list[list[int]], graph) -> set[tuple[int, int]]:
     """Pair the legs of ``nodes`` along the edge codes of ``graph``, taking
     each node's legs in order."""
-    n = len(nodes)
     stacks = [list(ns) for ns in nodes]
-    pairs: set[tuple[int, int]] = set()
-    for code in graph:
-        a, b = divmod(code, n)
-        pairs.add((stacks[a].pop(0), stacks[b].pop(0)))
-    return pairs
+    return {(stacks[a].pop(0), stacks[b].pop(0))
+            for a, b in node_pairs(graph, len(nodes))}

@@ -32,29 +32,9 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.dim == other.dim
                 and self.terms == other.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.dim, other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return Poly(self.dim, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly)
-                       else Poly.constant(self.dim, -other))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):

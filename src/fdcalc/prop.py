@@ -28,7 +28,7 @@ from .diagram import (
     Diagram, DiagramError, TypedDiagram, disjoint_union, next_id,
     relabel_typed,
 )
-from .generate import _closure_orbits, _multigraphs
+from .generate import closure_orbits, multigraphs, node_pairs
 from .iso import canonical_code
 
 MAX_CLOSURE_LEGS = 16
@@ -140,10 +140,9 @@ def edge_pairings(k: int) -> list[TypedDiagram]:
         return []
     out: list[TypedDiagram] = []
     base = Diagram((), frozenset((2 * i, 2 * i + 1) for i in range(k // 2)))
-    for graph in reversed(list(_multigraphs((1,) * k))):
+    for graph in reversed(list(multigraphs((1,) * k))):
         outs = [0] * k
-        for i, code in enumerate(graph):
-            a, b = divmod(code, k)
+        for i, (a, b) in enumerate(node_pairs(graph, k)):
             outs[a] = 2 * i
             outs[b] = 2 * i + 1
         out.append(TypedDiagram(base, (), tuple(outs)))
@@ -171,7 +170,7 @@ def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
     if d.bare_pairs:
         raise DiagramError("composition closed a circle carrying no vertex")
     found: dict[bytes, list] = {}
-    for closed, ways in _closure_orbits(d):
+    for closed, ways in closure_orbits(d):
         code = canonical_code(closed)
         if code.code in found:
             found[code.code][1] += ways

@@ -86,9 +86,6 @@ class MultiSeries:
                 and self.max_degree == other.max_degree
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.max_degree, frozenset(self.coeffs.items())))
-
     def __add__(self, other):
         other = self._coerce(other)
         acc = dict(self.coeffs)

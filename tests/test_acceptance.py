@@ -13,7 +13,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
-from math import factorial
 
 import fdcalc
 from fdcalc.algebra import AlgebraSpec

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from fdcalc.algebra import (
     AlgebraError, AlgebraSpec, amplitude, amplitude_coloured,
-    expand_colourings, expectation_value, load_algebra, leg_polynomial,
-    interaction_terms,
+    expectation_value, load_algebra, leg_polynomial, interaction_terms,
 )
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (
     Diagram, EMPTY, TypedDiagram, Vertex, bare_edge, connected_components,
-    coupon_star, cyclic_star, relabel_typed, symmetric_star,
+    coupon_star, cyclic_star, expand_colourings, relabel_typed,
+    symmetric_star,
 )
 from fdcalc.poly import Poly
 from fdcalc.prop import DiagramError, braiding, compose, identity, tensor

@@ -168,6 +168,19 @@ def test_verify_expfz_shows_vanishing_difference(files):
     assert data["ok"] is True and data["name"] == "expfz"
 
 
+@pytest.mark.parametrize("check", ["wick", "taylor", "fubini", "expfz",
+                                   "frt"])
+def test_verify_json_parses(files, check):
+    """Every check prints its verdict as JSON; a numpy scalar anywhere in
+    it would not serialise."""
+    inputs = {"expfz": ["--table", files["quartic.tbl"], "--max-degree", "4"],
+              "frt": ["--algebra", files["quartic.alg"], "--max-degree", "4"]}
+    rc, out, _ = run(["verify", check, *inputs.get(check, ()),
+                      "--format", "json"])
+    data = json.loads(out)
+    assert rc == 0 and data["ok"] is True
+
+
 def test_error_exits(files, tmp_path):
     bad = tmp_path / "bad.fd"
     bad.write_text("vertex a sym phi4 legs 4; edge a.1 - a.9;")

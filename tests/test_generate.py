@@ -10,7 +10,8 @@ from fdcalc.diagram import (
     degree, disjoint_union, mark_root, star_for, symmetric_star,
 )
 from fdcalc.generate import (
-    DiagramClass, _leg_nodes, _multigraphs, _star_multisets, enumerate_closed,
+    DiagramClass, _star_multisets, closure_orbits, enumerate_closed,
+    leg_nodes, multigraphs,
 )
 from fdcalc.iso import are_isomorphic, canonical_code
 from util import (
@@ -110,7 +111,7 @@ def _enumerate_by_candidates(table, max_degree, root=None, connected=False,
                 base = disjoint_union(base, star_for(entry))
         if len(base.legs) % 2:
             continue
-        nodes = _leg_nodes(base)
+        nodes = leg_nodes(base)
         for graph in multigraphs(tuple(len(ns) for ns in nodes)):
             d = Diagram(base.vertices, base.pairs | instantiate(nodes, graph),
                         base.root_pairs)
@@ -252,7 +253,7 @@ def _capacity_vectors():
 
 @pytest.mark.parametrize("caps", _capacity_vectors(), ids=str)
 def test_multigraph_walk_matches_matching_oracle(caps):
-    assert list(_multigraphs(caps)) == multigraphs_by_matchings(caps)
+    assert list(multigraphs(caps)) == multigraphs_by_matchings(caps)
 
 
 @pytest.mark.parametrize("table,maxdeg,root", [
@@ -349,3 +350,34 @@ def test_orbit_census_matches_per_candidate_reference(table, maxdeg, root,
     flags = {flag: True} if flag else {}
     got = enumerate_closed(table, max_degree=maxdeg, root=root, **flags)
     assert got == _enumerate_by_candidates(table, maxdeg, root, **flags)
+
+
+@pytest.mark.parametrize("rooted", [False, True], ids=["12", "rooted-9"])
+@pytest.mark.parametrize("table", _TABLES)
+def test_census_orbits_obey_orbit_stabiliser(table, rooted):
+    """|Aut(closure)| * (pairings in its orbit) == |Aut(base)| on every
+    census base: the stars of each star multiset at degree 12, or at degree 9
+    with the table's first special colour as root.
+
+    A census base has no edges, so an automorphism of a closure is one of
+    the base that fixes its pairing, and the orbit-stabiliser theorem gives
+    the identity.  It holds for the census only.  A piece with internal
+    edges may have closures with more automorphisms than that: an unmarked
+    6-star with one loop has |Aut| 48 and one orbit of 3 pairings, and its
+    closure, three loops on one vertex, has |Aut| 48 too, not 16.
+    """
+    table = _TABLES[table]
+    piece, budget = EMPTY, 12
+    if rooted:
+        special = next(e for e in table if e.special)
+        piece, budget = mark_root(star_for(special)), 9
+    for stars in _star_multisets(table.ordinary(), budget):
+        base = piece
+        for entry, count in stars:
+            for _ in range(count):
+                base = disjoint_union(base, star_for(entry))
+        if len(base.legs) % 2:
+            continue
+        aut = canonical_code(base).aut_order
+        for closed, pairings in closure_orbits(base):
+            assert canonical_code(closed).aut_order * pairings == aut

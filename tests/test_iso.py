@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ from fdcalc.diagram import (
     Diagram, TypedDiagram, Vertex, bare_edge, coupon_star, cyclic_star,
     disjoint_union, mark_root, relabel, symmetric_star,
 )
+from fdcalc.generate import enumerate_closed
 from fdcalc.iso import are_isomorphic, aut_order, aut_order_bruteforce, canonical_code
 
 import util
@@ -219,6 +221,55 @@ def _flower(k: int) -> Diagram:
 ], ids=["star10", "banana7", "flower5", "star30", "banana12", "flower10"])
 def test_factorial_families(d, expected):
     assert aut_order(d) == expected
+
+
+# -- golden code bytes ------------------------------------------------------------
+# The code is the least leaf form of the search, so it depends on the ordered
+# cells that refinement reaches, not on the isomorphism class alone.  A change
+# to refinement may keep every |Aut| and still change these bytes, which sort
+# the rows of ``closures`` and ``enumerate``.
+
+def _census(table) -> list[Diagram]:
+    return [c.rep for c in enumerate_closed(table, max_degree=8)]
+
+
+GOLDEN_CODES = {
+    "census-quartic-8": (lambda: _census(util.quartic_table()),
+        5, "8107494cd2a970975763d4071eac203d706422ac4dc1140bae6febccef409a36"),
+    "census-cubic-8": (lambda: _census(util.cubic_table()),
+        3, "684ff79840c1ef57fc5f9df8cce5514fae6476088ea0811ff8ad863be42bdb04"),
+    "census-mixed-8": (lambda: _census(util.mixed_table()),
+        7, "8003fa809415d43936bfa99c33de6edd83c8e0197a4fcef93713544c363064bd"),
+    "census-cyclic-8": (lambda: _census(util.cyclic_table()),
+        4, "be6344d1b90024f58c025b1350e517f459acfb0a79e3d93637b7858938367a6b"),
+    "census-coupon-8": (lambda: _census(util.coupon_table()),
+        69, "03e5048f43701b29b32afc7bd145868b40e1857304cd08ad3aabcc9e041d589b"),
+    "factorial-families": (lambda: [
+        symmetric_star("p", 10), _banana(7), _flower(5),
+        symmetric_star("p", 30), _banana(12), _flower(10)],
+        6, "9313790f483233510f221fb3979673230e99bb6fd470fbf8e6dae90ac382713f"),
+    "typed": (lambda: [
+        TypedDiagram(coupon_star("t", 2, 2), (2, 0), (3, 1)),
+        TypedDiagram(disjoint_union(cyclic_star("c", 3), bare_edge()),
+                     (4, 1), (0, 3, 2))],
+        2, "d31cec93b3475254ffbceda2ad0fd77e82567790777c2c1825b770e815feff09"),
+    "rooted-theta": (lambda: [Diagram(
+        (Vertex("symmetric", "phi3", (0, 1, 2), root=True),
+         Vertex("symmetric", "phi3", (3, 4, 5))),
+        frozenset({(0, 3), (1, 4), (2, 5)}))],
+        1, "e48aa651ab68cca64508b09d0686a170cc74cd8047e8fc3e76ef0f770f1d4e0c"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_golden_code_bytes(name):
+    make, count, digest = GOLDEN_CODES[name]
+    h = hashlib.sha256()
+    diagrams = make()
+    for d in diagrams:
+        code = canonical_code(d).code
+        h.update(len(code).to_bytes(4, "big") + code)
+    assert (len(diagrams), h.hexdigest()) == (count, digest)
 
 
 # -- pairs that local invariants cannot separate ----------------------------------
