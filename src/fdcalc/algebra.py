@@ -160,20 +160,12 @@ class AlgebraSpec:
                             f"tensor {name!r} is not permutation invariant")
             self.tensors[name] = arr
 
-        # Integer forms of the spec's own arrays, keyed by id; the arrays
-        # live as long as the spec, and the stored array guards the key.
+        # Integer forms of the spec's own arrays, the only operands
+        # `_contract` sees, keyed by id; the arrays live as long as the spec.
         self._forms = {
-            id(arr): (arr, *_integer_form(arr, self.exact))
+            id(arr): _integer_form(arr, self.exact)
             for arr in (self.pairing, self.copairing, self.eye,
                         *self.tensors.values())}
-
-    def _integer_form(self, arr: np.ndarray) -> tuple[np.ndarray, int]:
-        """``arr`` over a common denominator, converted at construction
-        when it is one of the spec's own arrays."""
-        form = self._forms.get(id(arr))
-        if form is not None and form[0] is arr:
-            return form[1], form[2]
-        return _integer_form(arr, self.exact)
 
     def tensor_for(self, colour: str) -> np.ndarray:
         """The tensor of a colour; special colours borrow their partner's."""
@@ -263,7 +255,7 @@ def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
     scale = 1
     work = {}  # operand id -> (array, labels); a merged pair keeps the lower id
     for k, (arr, labs) in enumerate(ops):
-        ints, den = a._integer_form(arr)
+        ints, den = a._forms[id(arr)]
         scale *= den
         work[k] = (ints, list(labs))
     owners: dict[int, list[int]] = {}
@@ -310,8 +302,7 @@ def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
     return result.transpose(perm)
 
 
-def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec, *,
-              _edge_override=None):
+def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec):
     """The multilinear map of a typed diagram, as a dense array.
 
     Axes run through the numbered inputs and then the numbered outputs; a
@@ -330,12 +321,8 @@ def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec, *,
     ops: list[tuple[np.ndarray, list]] = []
     for v in d.vertices:
         ops.append((a.tensor_for(v.colour), list(v.slots)))
-    for p in sorted(d.pairs - d.bare_pairs):
-        h1, h2 = p
-        op = _edge_override(p) if _edge_override else None
-        if op is None:
-            op = _edge_operand(a, h1 in upper, h2 in upper)
-        ops.append((op, [h1, h2]))
+    for h1, h2 in sorted(d.pairs - d.bare_pairs):
+        ops.append((_edge_operand(a, h1 in upper, h2 in upper), [h1, h2]))
     for h in d.legs:
         if h in d.free_halves:
             continue
@@ -416,18 +403,21 @@ def amplitude_coloured(c: EdgeColouring, a: AlgebraSpec):
     """Amplitude with each coloured edge replaced by the projection onto its
     basis line.  Only meaningful over an orthonormal pairing; summing over
     all colourings then recovers the plain amplitude.
+
+    Over an orthonormal pairing every edge operand is the identity, so both
+    ends of each edge sit at the edge's colour, no index is left to sum,
+    and the value is the product of one entry of each vertex tensor.
     """
     if not a.is_orthonormal:
         raise AlgebraError("edge colourings need an orthonormalized algebra")
-    eta = dict(c.eta)
-
-    def override(pair):
-        k = eta[pair]
-        proj = np.zeros((a.dim, a.dim), dtype=object if a.exact else float)
-        proj[k, k] = a.one()
-        return proj
-
-    return amplitude(c.base, a, _edge_override=override)
+    if not c.base.is_closed:
+        raise AlgebraError("open diagrams need numbered endpoints")
+    colour = {h: k for p, k in c.eta for h in p}
+    value = a.one()
+    for v in c.base.vertices:
+        value = value * a.tensor_for(v.colour)[tuple(colour[h]
+                                                     for h in v.slots)]
+    return value if a.exact else float(value)
 
 
 # -- file format --------------------------------------------------------------

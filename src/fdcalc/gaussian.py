@@ -168,51 +168,55 @@ def quadrature_average(p: Poly, g: GaussianSpec) -> float:
 
 # -- formal averages against a potential ---------------------------------------
 
-def _potential_expansion(f: Poly, a: AlgebraSpec, keep) -> dict[Monomial, Fraction]:
-    """Coefficients of ⟨f·e^S⟩ over the exponent vectors passing ``keep``."""
+def _potential_expansion(f: Poly, a: AlgebraSpec,
+                         budget: int) -> dict[Monomial, Fraction]:
+    """Coefficients of ⟨f·e^S⟩ on the coupling monomials of grade-weighted
+    degree at most ``budget``.
+
+    The walk fixes one coupling's exponent at a time, smallest first, and
+    carries the product of ``f`` with the powers fixed so far, so each
+    power of a star polynomial is one product away from the one before.
+    """
     gauss = GaussianSpec(a.dim, a.pairing.tolist())
-    terms = interaction_terms(a)
+    # With no budget every exponent is 0, and no star polynomial is needed;
+    # an algebra may lack the tensor of a colour the average never uses.
+    terms = interaction_terms(a) if budget else ()
     coeffs: dict[Monomial, Fraction] = {}
 
-    def descend(i: int, expvec: tuple[int, ...]):
-        if not keep(expvec + (0,) * (len(terms) - i)):
-            return
+    def descend(i: int, poly: Poly, left: int, mono: Monomial, denom: int):
         if i == len(terms):
-            poly = f
-            denom = 1
-            for (key, part), e in zip(terms, expvec):
-                poly = poly * part ** e
-                denom *= factorial(e)
             val = poly_average(poly, gauss)
             if val:
-                mono = tuple(sorted((key, e) for (key, _), e
-                                    in zip(terms, expvec) if e))
-                coeffs[mono] = Fraction(val) / denom
+                coeffs[tuple(sorted(mono))] = Fraction(val) / denom
             return
-        e = 0
-        while keep(expvec + (e,) + (0,) * (len(terms) - i - 1)):
-            descend(i + 1, expvec + (e,))
-            e += 1
+        key, part = terms[i]
+        power = Poly.constant(a.dim, 1)
+        for e in range(left // key.grade + 1):
+            if e:
+                power = power * part
+            descend(i + 1, poly * power, left - e * key.grade,
+                    mono + ((key, e),) if e else mono, denom * factorial(e))
 
-    descend(0, ())
+    descend(0, f, budget, (), 1)
     return coeffs
 
 
 def average_with_potential(f: Poly, a: AlgebraSpec,
                            max_order: int = POTENTIAL_ORDER_LIMIT) -> MultiSeries:
-    """⟨f·e^S⟩ as a series in the couplings, to total order ``max_order``.
+    """⟨f·e^S⟩ as a series in the couplings, exact to weight ``max_order``
+    times the largest valence.
 
     S is the interaction sum of ``a``'s colour table, one coupling variable
-    per ordinary colour; the coefficient of a coupling monomial of total
-    degree k comes from ⟨f·S^k⟩/k! and is a single finite Gaussian moment.
-    Parity makes every odd combination vanish rather than fail.
+    per ordinary colour, graded by its valence; the coefficient of a
+    coupling monomial of total degree k comes from ⟨f·S^k⟩/k! and is a
+    single finite Gaussian moment.  Parity makes every odd combination
+    vanish rather than fail.
     """
     if not 0 <= max_order <= POTENTIAL_ORDER_LIMIT:
         raise GaussianError(
             f"expansion order capped at {POTENTIAL_ORDER_LIMIT}")
-    coeffs = _potential_expansion(f, a, lambda ev: sum(ev) <= max_order)
     bound = max_order * max((e.valence for e in a.table.ordinary()), default=1)
-    return MultiSeries(coeffs, bound)
+    return MultiSeries(_potential_expansion(f, a, bound), bound)
 
 
 # -- holding the roads against each other --------------------------------------
@@ -250,22 +254,13 @@ def frt_check(g: Diagram, a: AlgebraSpec, *, with_potential: bool = False,
                             max_degree=max_degree)
     aut = canonical_code(g).aut_order
     f = leg_polynomial(g, a) * Fraction(1, aut)
+    # The left side grades g's own ordinary vertices as couplings, so with
+    # the potential the right side carries g's monomial and leaves the rest
+    # of the degree bound to the potential.
+    budget = max_degree - degree(g) if with_potential else 0
+    rhs = MultiSeries(_potential_expansion(f, a, budget), max_degree)
     if with_potential:
-        # The left side grades g's own ordinary vertices as couplings, so the
-        # right side carries g's monomial and leaves the rest of the degree
-        # bound to the potential.
-        keys = [key for key, _ in interaction_terms(a)]
-        budget = max_degree - degree(g)
-
-        def keep(ev):
-            return sum(e * k.grade for k, e in zip(keys, ev)) <= budget
-
-        rhs = (MultiSeries({diagram_monomial(g, a.table): 1}, max_degree)
-               * MultiSeries(_potential_expansion(f, a, keep), max_degree))
-    else:
-        gauss = GaussianSpec(a.dim, a.pairing.tolist())
-        rhs = MultiSeries.constant(Fraction(poly_average(f, gauss)),
-                                   max_degree)
+        rhs = MultiSeries({diagram_monomial(g, a.table): 1}, max_degree) * rhs
     keys = set(lhs.coeffs) | set(rhs.coeffs)
     diff = max((abs(lhs.coefficient(m) - rhs.coefficient(m)) for m in keys),
                default=Fraction(0))

@@ -52,13 +52,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .diagram import Diagram, TypedDiagram
-
-# Census and wiring runs see few repeated diagrams, so a small cache keeps
-# memory flat without costing hits.
-CODE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,6 @@ def _search(d: Diagram, tok: dict[int, int]
     return layout + (tuple(runs), best[0]), count * aut, maps
 
 
-@lru_cache(maxsize=CODE_CACHE_SIZE)
 def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
     """Complete isomorphism invariant together with the automorphism order."""
     if isinstance(d, TypedDiagram):
@@ -287,8 +281,7 @@ def automorphism_generators(d: Diagram) -> list[dict[int, int]]:
     each a map of every slot half-edge to its image.
 
     They are the automorphisms the canonical search of ``d`` finds; |Aut| is
-    their group's order times the valence-0 and bare-edge factors.  Not
-    cached: each call runs the search again.
+    their group's order times the valence-0 and bare-edge factors.
     """
     return _search(d, {})[2]
 

@@ -33,10 +33,6 @@ class CheckResult:
     lines: tuple[str, ...]
 
 
-def _verdict(name: str, ok: bool, lines: list[str]) -> CheckResult:
-    return CheckResult(name, ok, tuple(lines))
-
-
 def _random_pd(rng: random.Random, dim: int) -> list[list[Fraction]]:
     a = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
          for _ in range(dim)]
@@ -73,7 +69,7 @@ def check_wick() -> CheckResult:
         lines.append(f"case {i + 1}\tdim {dim}\tdegree {p.degree()}\t"
                      f"pairing-sum {exact:.17g}\tquadrature {quad:.17g}\t"
                      f"{'agree' if good else 'DIFFER'}")
-    return _verdict("wick", ok, lines)
+    return CheckResult("wick", ok, tuple(lines))
 
 
 def check_taylor() -> CheckResult:
@@ -92,7 +88,7 @@ def check_taylor() -> CheckResult:
         lines.append(f"case {i + 1}\tdim {dim}\tstars {rep.groupoid_sum}\t"
                      f"direct {rep.direct_value}\t"
                      f"{'agree' if good else 'DIFFER'}")
-    return _verdict("taylor", ok, lines)
+    return CheckResult("taylor", ok, tuple(lines))
 
 
 def check_exp_free_energy(table: ColourTable, max_degree: int) -> CheckResult:
@@ -103,7 +99,7 @@ def check_exp_free_energy(table: ColourTable, max_degree: int) -> CheckResult:
     lines = [f"Z\t{format_monomial(m)}\t{c}" for m, c in sorted_terms(z)]
     lines += [f"F\t{format_monomial(m)}\t{c}" for m, c in sorted_terms(f)]
     lines.append(f"exp(F) - Z\t{'0' if not diff.coeffs else str(diff)}")
-    return _verdict("expfz", not diff.coeffs, lines)
+    return CheckResult("expfz", not diff.coeffs, tuple(lines))
 
 
 def check_frt(a: AlgebraSpec, root: Diagram | None = None, *,
@@ -112,7 +108,7 @@ def check_frt(a: AlgebraSpec, root: Diagram | None = None, *,
     g = root if root is not None else Diagram()
     rep = frt_check(g, a, with_potential=with_potential,
                     max_degree=max_degree)
-    return _verdict("frt", rep.match, rep.lines())
+    return CheckResult("frt", rep.match, tuple(rep.lines()))
 
 
 # -- covering instances ------------------------------------------------------
@@ -183,9 +179,8 @@ def check_coverings() -> CheckResult:
     for kind, label, cov in instances:
         assert cov.kind == kind
         rep = covering_report(cov, rng=rng)
-        good = cov.cardinality_ok() and rep.ok
-        ok = ok and good
+        ok = ok and rep.ok
         lines.append(f"{kind}\t{label}\tdegree {cov.degree}\t"
                      f"classes {len(cov.classes)}\t"
-                     f"{'ok' if good else 'MISMATCH'}")
-    return _verdict("fubini", ok, lines)
+                     f"{'ok' if rep.ok else 'MISMATCH'}")
+    return CheckResult("fubini", ok, tuple(lines))

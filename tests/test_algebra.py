@@ -525,10 +525,15 @@ def test_colouring_sum_matches_uncoloured():
     rng = random.Random(5)
     tables = [standard_table(("symmetric", "s4", 4)),
               standard_table(("symmetric", "s3", 3)),
-              standard_table(("cyclic", "c4", 4))]
+              standard_table(("cyclic", "c4", 4)),
+              standard_table(("coupon", "t11", (1, 1)))]
     diagrams = [figure_eight("s4"),
                 theta("s3"),
                 Diagram((Vertex("cyclic", "c4", (0, 1, 2, 3)),),
+                        frozenset({(0, 2), (1, 3)})),
+                # an input-input edge and an output-output edge
+                Diagram((Vertex("coupon", "t11", (0, 1), n_in=1),
+                         Vertex("coupon", "t11", (2, 3), n_in=1)),
                         frozenset({(0, 2), (1, 3)}))]
     for dim in (1, 2, 3):
         eye = [[F(int(i == j)) for j in range(dim)] for i in range(dim)]

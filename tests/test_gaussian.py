@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from fdcalc.algebra import AlgebraSpec, amplitude
+from fdcalc.algebra import AlgebraSpec, amplitude, expectation_value
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (EMPTY, coupon_star, cyclic_star, symmetric_star)
 from fdcalc.gaussian import (
@@ -184,6 +184,22 @@ def test_average_with_potential_cubic_matches_partition():
     a = ones_algebra(table)
     got = average_with_potential(Poly.constant(1, F(1)), a, 4)
     assert got == partition_series(table, 12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_average_with_potential_mixed_valence_matches_diagrams(dim):
+    """The average is exact to the weight it reports, max_order times the
+    largest valence, so it holds phi3^4 at weight 12 as well as phi4^3."""
+    if dim == 1:
+        a = ones_algebra(mixed_table())
+    else:
+        rng = random.Random(3)
+        a = AlgebraSpec(2, PD2, mixed_table(),
+                        {"phi3": sym_tensor(rng, 2, 3),
+                         "phi4": sym_tensor(rng, 2, 4)})
+    got = average_with_potential(Poly.constant(dim, F(1)), a, 3)
+    want = expectation_value(EMPTY, a, with_potential=True, max_degree=12)
+    assert got == want
 
 
 def test_average_without_potential_is_plain_moment():

@@ -83,3 +83,18 @@ def test_every_import_is_used(name):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_parameter_is_private(name):
+    """A function takes data through public parameters only; a parameter
+    named ``_x`` is a hook for one caller."""
+    private = []
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            private += [p.arg for p in params if p.arg.startswith("_")]
+    assert private == []
