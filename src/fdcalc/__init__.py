@@ -8,13 +8,16 @@ automorphism-weighted generating series (partition function, free
 energy, rooted sums) in exact rational arithmetic, evaluates tensor
 amplitudes over a choice of pairing and vertex tensors, and cross-checks
 the diagram sums against direct Gaussian integrals.
+
+Only the numeric layer (``algebra``, ``gaussian``) needs numpy.  Its names
+are served on first use by the module ``__getattr__``, so that importing
+the package, and every command that computes with exact rationals alone,
+leaves numpy unloaded.
 """
 
+import importlib as _importlib
 import types as _types
 
-from .algebra import (AlgebraError, AlgebraSpec, amplitude,
-                      amplitude_coloured, expectation_value,
-                      interaction_terms, leg_polynomial, load_algebra)
 from .colours import ColourEntry, ColourTable, ColourTableError
 from .coverings import (CoveringError, CoveringInstance, CoveringReport,
                         colouring_covering, covering_report, cut_covering,
@@ -25,9 +28,6 @@ from .diagram import (Diagram, DiagramError, TypedDiagram, Vertex, bare_edge,
                       forget_numbering, mark_root, symmetric_star)
 from .dsl import (ParseError, format_table, parse_diagram, parse_table,
                   serialize_diagram)
-from .gaussian import (GaussianError, GaussianSpec, average_with_potential,
-                       frt_check, poly_average, quadrature_average,
-                       taylor_stars, wick_moment)
 from .generate import DiagramClass, enumerate_closed
 from .iso import are_isomorphic, aut_order_bruteforce, canonical_code
 from .poly import Poly
@@ -38,6 +38,31 @@ from .series import (MultiSeries, VariableKey, diagram_monomial,
 
 __version__ = "0.1.0"
 
-__all__ = sorted(name for name, obj in globals().items()
-                 if not name.startswith("_")
-                 and not isinstance(obj, _types.ModuleType))
+# The public names of the numeric layer, each with its module.
+_NUMERIC = {
+    **dict.fromkeys(("AlgebraError", "AlgebraSpec", "amplitude",
+                     "amplitude_coloured", "expectation_value",
+                     "interaction_terms", "leg_polynomial", "load_algebra"),
+                    "algebra"),
+    **dict.fromkeys(("GaussianError", "GaussianSpec",
+                     "average_with_potential", "frt_check", "poly_average",
+                     "quadrature_average", "taylor_stars", "wick_moment"),
+                    "gaussian"),
+}
+
+__all__ = sorted([name for name, obj in globals().items()
+                  if not name.startswith("_")
+                  and not isinstance(obj, _types.ModuleType)] + list(_NUMERIC))
+
+
+def __getattr__(name: str):
+    """A public name of the numeric layer, imported with its module on
+    first use."""
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f".{_NUMERIC[name]}", __name__),
+                   name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_NUMERIC))

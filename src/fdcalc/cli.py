@@ -5,13 +5,15 @@ closures), enumerate and sum diagram classes (enumerate, partition,
 free-energy, expect), or run the built-in cross-checks (verify ...).
 Output is tab-separated rows on stdout, or one JSON document with
 ``--format json``; identical invocations print identical bytes.
+
+Handlers import the numeric layer (``algebra``) where they use it, so that
+the commands that compute with exact rationals alone never load numpy.
 """
 
 import argparse
 import json
 import sys
 
-from .algebra import expectation_value, load_algebra
 from .colours import ColourTable
 from .diagram import Diagram, DiagramError, TypedDiagram
 from .dsl import parse_diagram, parse_table, serialize_diagram
@@ -108,37 +110,34 @@ def _cmd_enumerate(args):
 
 
 def _series_source(args) -> tuple:
+    """``(table, None)`` for ``--table``; for ``--algebra``, ``(None, Z)``
+    with ``Z`` the algebra's partition function under its potential."""
     if bool(args.table) == bool(args.algebra):
         raise DiagramError("give exactly one of --table and --algebra")
     if args.table:
         return parse_table(_read(args.table)), None
-    a = load_algebra(_read(args.algebra))
-    return a.table, a
+    from .algebra import expectation_value, load_algebra
+    z = expectation_value(Diagram(), load_algebra(_read(args.algebra)),
+                          with_potential=True, max_degree=args.max_degree)
+    return None, z
 
 
 def _cmd_partition(args):
-    table, algebra = _series_source(args)
-    if algebra is None:
-        s = partition_series(table, args.max_degree)
-    else:
-        s = expectation_value(Diagram(), algebra, with_potential=True,
-                              max_degree=args.max_degree)
+    table, z = _series_source(args)
+    s = partition_series(table, args.max_degree) if z is None else z
     rows, obj = _series_rows(s)
     return rows, obj, 0
 
 
 def _cmd_free_energy(args):
-    table, algebra = _series_source(args)
-    if algebra is None:
-        s = free_energy_series(table, args.max_degree)
-    else:
-        s = expectation_value(Diagram(), algebra, with_potential=True,
-                              max_degree=args.max_degree).log()
+    table, z = _series_source(args)
+    s = free_energy_series(table, args.max_degree) if z is None else z.log()
     rows, obj = _series_rows(s)
     return rows, obj, 0
 
 
 def _cmd_expect(args):
+    from .algebra import expectation_value, load_algebra
     a = load_algebra(_read(args.algebra))
     d = _load_untyped(args.file, a.table)
     s = expectation_value(d, a, with_potential=args.potential,
@@ -167,6 +166,7 @@ def _cmd_verify_expfz(args):
 
 
 def _cmd_verify_frt(args):
+    from .algebra import load_algebra
     a = load_algebra(_read(args.algebra))
     root = _load_untyped(args.root, a.table) if args.root else None
     check = verify.check_frt(a, root, with_potential=args.potential,

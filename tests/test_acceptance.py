@@ -7,14 +7,10 @@ quadrature comparison, 1e-10 for the Taylor reconstruction).
 """
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
-import fdcalc
 from fdcalc.algebra import AlgebraSpec
 from fdcalc.coverings import (colouring_covering, covering_report,
                               cut_covering, numbering_covering)
@@ -35,7 +31,7 @@ import io
 from contextlib import redirect_stdout
 
 from util import (coupon_table, cubic_table, cyclic_table, figure_eight,
-                  mixed_table, quartic_table, random_diagram)
+                  mixed_table, quartic_table, random_diagram, run_python)
 
 ALL_TABLES = [quartic_table, cubic_table, mixed_table, cyclic_table,
               coupon_table]
@@ -266,13 +262,8 @@ def test_10_cli_round_trip_and_determinism(tmp_path):
     theta_fd = tmp_path / "theta.fd"
     theta_fd.write_text("vertex a sym phi3 legs 3; vertex b sym phi3 legs 3;"
                         " edge a.1 - b.1; edge a.2 - b.2; edge a.3 - b.3;")
-    cmd = [sys.executable, "-m", "fdcalc.cli", "aut", str(theta_fd)]
-    # The child imports the same fdcalc as this test, however pytest found it.
-    src = os.path.dirname(os.path.dirname(fdcalc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    cmd = ("-m", "fdcalc.cli", "aut", str(theta_fd))
+    first, second = run_python(*cmd), run_python(*cmd)
     assert first.returncode == 0
     assert first.stdout.splitlines()[0] == "aut\t12"
     assert (first.stdout, first.stderr) == (second.stdout, second.stderr)

@@ -12,7 +12,7 @@ from fdcalc.generate import enumerate_closed
 from fdcalc.iso import canonical_code
 
 from util import (coupon_table, cubic_table, cyclic_table, mixed_table,
-                  quartic_table)
+                  quartic_table, run_python)
 
 THETA_SRC = """
 vertex a sym phi3 legs 3;
@@ -286,3 +286,35 @@ def test_enumerate_rooted_uses_placeholder(files):
     degrees = [r[0] for r in rows]
     assert degrees[:3] == ["0", "4", "4"]
     assert set(degrees[3:]) == {"8"}
+
+
+# Each command, and whether it computes with the numeric layer and so loads
+# numpy.  File arguments name entries of the ``files`` fixture.
+NUMPY_USE = [
+    (["aut", "theta.fd"], False),
+    (["compose", "idpair.fd", "idpair.fd"], False),
+    (["closures", "star4.fd", "--table", "quartic.tbl"], False),
+    (["enumerate", "--table", "quartic.tbl", "--max-degree", "8"], False),
+    (["partition", "--table", "quartic.tbl", "--max-degree", "8"], False),
+    (["free-energy", "--table", "quartic.tbl", "--max-degree", "8"], False),
+    (["verify", "expfz", "--table", "quartic.tbl", "--max-degree", "8"],
+     False),
+    (["verify", "fubini"], False),
+    (["partition", "--algebra", "quartic.alg", "--max-degree", "8"], True),
+    (["verify", "wick"], True),
+]
+
+
+@pytest.mark.parametrize("argv,numpy", NUMPY_USE,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else str(v))
+def test_only_numeric_commands_load_numpy(files, argv, numpy):
+    argv = [files.get(a, a) for a in argv]
+    code = ("import sys\n"
+            "from fdcalc.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    done = run_python("-c", code, *argv)
+    assert done.returncode == 0
+    assert done.stderr.splitlines()[-1] == str(numpy)

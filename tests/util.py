@@ -1,10 +1,24 @@
 """Shared constructors for the test suite."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
+import fdcalc
 from fdcalc.colours import ColourEntry, ColourTable
 from fdcalc.diagram import Diagram, TypedDiagram, Vertex
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on ``args`` that imports the same fdcalc as
+    the test suite, however pytest found it."""
+    src = os.path.dirname(os.path.dirname(fdcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def quartic_table() -> ColourTable:
