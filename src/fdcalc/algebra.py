@@ -32,10 +32,9 @@ from .colours import (
 from .diagram import (
     Diagram, DiagramError, EdgeColouring, TypedDiagram, mark_root, star_for,
 )
-from .generate import enumerate_closed
+from .generate import closure_orbits, enumerate_closed
 from .iso import aut_order
 from .poly import Poly, invert_exact, is_exact
-from .prop import closures
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, groupoid_integral, variable_for,
 )
@@ -378,22 +377,23 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
 
     Without the potential the sum runs over the closures of ``g`` alone and
     the series is constant; with it, over all closed diagrams of bounded
-    degree containing ``g`` as the marked piece.  An odd number of legs
-    leaves nothing to sum in the constant case, so the result is 0 rather
-    than an error.  A negative ``max_degree`` raises :class:`DiagramError`
-    either way.
+    degree containing ``g`` as the marked piece.  The closures of the marked
+    piece are one per orbit of its automorphisms, and each orbit is a class:
+    an isomorphism of two closures keeps the marked piece, so it restricts
+    to an automorphism of it.  An odd number of legs leaves nothing to sum
+    in the constant case, so the result is 0 rather than an error.  A
+    negative ``max_degree`` raises :class:`DiagramError` either way, and so
+    does a piece that :func:`fdcalc.generate.closure_orbits` refuses.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
     if with_potential:
-        root = g if (g.vertices or g.pairs) else None
-        classes = enumerate_closed(a.table, max_degree=max_degree, root=root)
+        classes = enumerate_closed(a.table, max_degree=max_degree, root=g)
         return groupoid_integral(classes, a.table, max_degree,
                                  weight=lambda rep: amplitude(rep, a))
-    marked = mark_root(g)
     total = Fraction(0)
-    for rep, _, aut in closures(marked):
-        total += Fraction(amplitude(rep, a)) / aut
+    for rep, _ in closure_orbits(mark_root(g)):
+        total += Fraction(amplitude(rep, a)) / aut_order(rep)
     return MultiSeries.constant(total, max_degree)
 
 

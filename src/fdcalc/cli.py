@@ -20,8 +20,8 @@ from .dsl import parse_diagram, parse_table, serialize_diagram
 from .generate import enumerate_closed
 from .iso import canonical_code
 from .prop import closures, compose, tensor
-from .series import (diagram_monomial, format_monomial, free_energy_series,
-                     partition_series, sorted_terms)
+from .series import (MultiSeries, diagram_monomial, format_monomial,
+                     free_energy_series, partition_series, sorted_terms)
 from . import verify
 
 # Every fdcalc error class subclasses ValueError.
@@ -109,29 +109,19 @@ def _cmd_enumerate(args):
     return rows, {"classes": items}, 0
 
 
-def _series_source(args) -> tuple:
-    """``(table, None)`` for ``--table``; for ``--algebra``, ``(None, Z)``
-    with ``Z`` the algebra's partition function under its potential."""
+def _cmd_series(args):
+    """``partition`` and ``free-energy``: the subparser's defaults give the
+    table census ``census`` and the map ``of_z`` that takes an algebra's
+    partition function under its potential to the same series."""
     if bool(args.table) == bool(args.algebra):
         raise DiagramError("give exactly one of --table and --algebra")
     if args.table:
-        return parse_table(_read(args.table)), None
-    from .algebra import expectation_value, load_algebra
-    z = expectation_value(Diagram(), load_algebra(_read(args.algebra)),
-                          with_potential=True, max_degree=args.max_degree)
-    return None, z
-
-
-def _cmd_partition(args):
-    table, z = _series_source(args)
-    s = partition_series(table, args.max_degree) if z is None else z
-    rows, obj = _series_rows(s)
-    return rows, obj, 0
-
-
-def _cmd_free_energy(args):
-    table, z = _series_source(args)
-    s = free_energy_series(table, args.max_degree) if z is None else z.log()
+        s = args.census(parse_table(_read(args.table)), args.max_degree)
+    else:
+        from .algebra import expectation_value, load_algebra
+        s = args.of_z(expectation_value(
+            Diagram(), load_algebra(_read(args.algebra)),
+            with_potential=True, max_degree=args.max_degree))
     rows, obj = _series_rows(s)
     return rows, obj, 0
 
@@ -217,16 +207,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                   " class must contain")
     q.set_defaults(handler=_cmd_enumerate)
 
-    for name, handler, blurb in (
-            ("partition", _cmd_partition,
+    for name, census, of_z, blurb in (
+            ("partition", partition_series, lambda z: z,
              "series of all closed diagrams weighted by 1/|Aut|"),
-            ("free-energy", _cmd_free_energy,
+            ("free-energy", free_energy_series, MultiSeries.log,
              "series of connected closed diagrams weighted by 1/|Aut|")):
         q = sub.add_parser(name, parents=[fmt], help=blurb)
         q.add_argument("--table")
         q.add_argument("--algebra")
         q.add_argument("--max-degree", type=int, required=True)
-        q.set_defaults(handler=handler)
+        q.set_defaults(handler=_cmd_series, census=census, of_z=of_z)
 
     q = sub.add_parser("expect", parents=[fmt],
                        help="expectation of a diagram in an algebra")

@@ -19,7 +19,7 @@ from math import factorial, pi, prod, sqrt
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .algebra import (AlgebraSpec, amplitude, expectation_value,
+from .algebra import (SYMMETRY_TOL, AlgebraSpec, amplitude, expectation_value,
                       leg_polynomial, interaction_terms)
 from .colours import standard_table
 from .diagram import Diagram, Vertex, degree
@@ -44,10 +44,13 @@ class GaussianSpec:
     """The weight exp(-q(v)/2) dv on R^dim, normalized to total mass one.
 
     ``pairing`` is the matrix of the quadratic form q.  It must be symmetric
-    and positive definite.  With rational entries one exact elimination
-    checks this and inverts the matrix: it is positive definite exactly
-    when every pivot is reached without a row exchange and is positive.
-    Float entries are checked through the leading principal minors.
+    and positive definite.  Rational entries must be exactly symmetric, and
+    float entries to within ``SYMMETRY_TOL``, the tolerance that
+    :class:`fdcalc.algebra.AlgebraSpec` holds its pairing to.  With rational
+    entries one exact elimination checks definiteness and inverts the
+    matrix: it is positive definite exactly when every pivot is reached
+    without a row exchange and is positive.  Float entries are checked
+    through the leading principal minors.
     Moments are polynomials in the inverse matrix, kept exact in rational
     mode.
     """
@@ -62,9 +65,10 @@ class GaussianSpec:
             mat = [[Fraction(x) for x in row] for row in mat]
         else:
             mat = [[float(x) for x in row] for row in mat]
+        tol = 0 if self.exact else SYMMETRY_TOL
         for i in range(dim):
             for j in range(i):
-                if mat[i][j] != mat[j][i]:
+                if not abs(mat[i][j] - mat[j][i]) <= tol:
                     raise GaussianError("pairing must be symmetric")
         if self.exact:
             inverse, pivots = invert_exact(mat)

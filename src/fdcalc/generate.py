@@ -25,8 +25,12 @@ single-leg nodes lists the perfect pairings behind
 walks the multigraphs in that order; the first one of each orbit floods the
 orbit under the generators that :func:`fdcalc.iso.automorphism_generators`
 returns, and it alone is instantiated, with the number of matchings its
-orbit stands for.  The census filters and canonicalises these closures, and
-:func:`fdcalc.prop.closures` sums their matching counts by class.
+orbit stands for.  The census filters and canonicalises these closures,
+:func:`fdcalc.prop.closures` sums their matching counts by class, and
+:func:`fdcalc.algebra.expectation_value` sums over them directly.  The
+engine alone decides whether a piece can be closed: an odd leg count closes
+to nothing, and more than ``MAX_CLOSURE_LEGS`` legs or a bare edge raise
+:class:`DiagramError`, for every caller, a rooted census included.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ from .diagram import (
 from .iso import automorphism_generators, canonical_code
 
 MAX_DEGREE = 16
+MAX_CLOSURE_LEGS = 16
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,6 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
         for entry, count in stars:
             for _ in range(count):
                 base = disjoint_union(base, star_for(entry))
-        if len(base.legs) % 2:
-            continue
         for d, _ in closure_orbits(base):
             if connected and len(connected_components(d)) != 1:
                 continue
@@ -111,7 +114,21 @@ def closure_orbits(piece: Diagram):
     instantiated.  Every multigraph of an orbit stands for the same number of
     pairings, prod c_a! / (prod 2^l_a l_a! * prod m_ab!) over the node
     capacities c_a, loop counts l_a and edge multiplicities m_ab.
+
+    The piece is checked before the walk.  An odd leg count yields nothing.
+    More than ``MAX_CLOSURE_LEGS`` legs raise :class:`DiagramError`: on
+    cyclic or coupon vertices every leg is its own node, so 18 legs can mean
+    17!! (about 3.4e7) multigraphs to walk and keep.  So does a bare edge,
+    since the pairing of its own two ends closes a circle with no vertex.
     """
+    legs = len(piece.legs)
+    if legs % 2:
+        return
+    if legs > MAX_CLOSURE_LEGS:
+        raise DiagramError(
+            f"closures take at most {MAX_CLOSURE_LEGS} legs, not {legs}")
+    if piece.bare_pairs:
+        raise DiagramError("composition closed a circle carrying no vertex")
     nodes = leg_nodes(piece)
     n = len(nodes)
     caps = tuple(map(len, nodes))
@@ -167,9 +184,7 @@ def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):
 
 def leg_nodes(base: Diagram) -> list[list[int]]:
     """Matchable leg groups: one bucket per symmetric vertex, one singleton
-    per cyclic or coupon slot.  ``base`` has no bare edges: census pieces
-    pass through :func:`fdcalc.diagram.mark_root`, and
-    :func:`fdcalc.prop.closures` refuses them first."""
+    per cyclic or coupon slot."""
     matched = base.partner
     nodes: list[list[int]] = []
     for v in base.vertices:

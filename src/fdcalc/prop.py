@@ -16,11 +16,9 @@ isomorphic diagrams, so the classes are unions of orbits.  The orbits come
 from the census's engine in :mod:`fdcalc.generate`, which walks leg
 multigraphs, where the legs of a symmetric vertex form one node, and yields
 one closure per orbit with its pairing count.  Each is canonicalised once,
-and a multiplicity is the sum of its class's pairing counts.  A bare edge
-raises :class:`DiagramError` up front, because the pairing of its own two
-ends closes a vertex-free circle, and so do more than ``MAX_CLOSURE_LEGS``
-legs: on cyclic or coupon vertices every leg is its own node, so 18 legs can
-mean 17!! (about 3.4e7) multigraphs to walk and keep.
+and a multiplicity is the sum of its class's pairing counts.  The engine
+also decides which pieces can be closed: see
+:func:`fdcalc.generate.closure_orbits`.
 """
 from __future__ import annotations
 
@@ -30,8 +28,6 @@ from .diagram import (
 )
 from .generate import closure_orbits, multigraphs, node_pairs
 from .iso import canonical_code
-
-MAX_CLOSURE_LEGS = 16
 
 
 def identity(n: int) -> TypedDiagram:
@@ -136,8 +132,6 @@ def edge_pairings(k: int) -> list[TypedDiagram]:
     reverse of the census walk's order: the lowest unpaired output takes
     its partner from low to high.
     """
-    if k % 2:
-        return []
     out: list[TypedDiagram] = []
     base = Diagram((), frozenset((2 * i, 2 * i + 1) for i in range(k // 2)))
     for graph in reversed(list(multigraphs((1,) * k))):
@@ -153,22 +147,14 @@ def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
     """Isomorphism classes of the closed diagrams produced by pairing off the
     legs of ``d``, as (representative, multiplicity, |Aut|), sorted by code.
 
-    Empty when the leg count is odd.  A bare edge raises
-    :class:`DiagramError`, since the pairing of its two ends closes a circle
-    with no vertex, and so does a leg count above ``MAX_CLOSURE_LEGS``.
-    Each orbit of Aut(d) on the leg multigraphs is closed and canonicalised
-    once.  A multiplicity is the number of pairings in its class's orbits,
+    Each orbit of Aut(d) on the leg multigraphs that
+    :func:`fdcalc.generate.closure_orbits` yields is canonicalised once, so
+    its rules hold here: empty when the leg count is odd, and
+    :class:`DiagramError` for a bare edge or more than ``MAX_CLOSURE_LEGS``
+    legs.  A multiplicity is the number of pairings in its class's orbits,
     and a representative is the closure of the first multigraph of the
     class in walk order, on the half-edge ids of ``d``.
     """
-    n = len(d.legs)
-    if n % 2:
-        return []
-    if n > MAX_CLOSURE_LEGS:
-        raise DiagramError(
-            f"closures take at most {MAX_CLOSURE_LEGS} legs, not {n}")
-    if d.bare_pairs:
-        raise DiagramError("composition closed a circle carrying no vertex")
     found: dict[bytes, list] = {}
     for closed, ways in closure_orbits(d):
         code = canonical_code(closed)

@@ -15,11 +15,13 @@ from fdcalc.algebra import (
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (
     Diagram, EMPTY, TypedDiagram, Vertex, bare_edge, connected_components,
-    coupon_star, cyclic_star, expand_colourings, relabel_typed,
+    coupon_star, cyclic_star, expand_colourings, mark_root, relabel_typed,
     symmetric_star,
 )
 from fdcalc.poly import Poly
-from fdcalc.prop import DiagramError, braiding, compose, identity, tensor
+from fdcalc.prop import (
+    DiagramError, braiding, closures, compose, identity, tensor,
+)
 from fdcalc.series import partition_series, rooted_series
 from util import (
     figure_eight, quartic_table, random_diagram, random_relabelling,
@@ -479,6 +481,34 @@ def test_expectation_odd_legs_vanishes():
     a = ones_algebra(quartic_table())
     e = expectation_value(symmetric_star("PHI4", 3, special=True), a)
     assert e.coeffs == {}
+
+
+def _expectation_by_classes(d, a):
+    """The constant term as once summed: one term per class that
+    ``closures`` finds for the marked piece, amplitude over |Aut|."""
+    return sum((F(amplitude(rep, a)) / aut
+                for rep, _, aut in closures(mark_root(d))), F(0))
+
+
+def float_algebra(rng):
+    exact = rand_algebra(rng)
+    return AlgebraSpec(2, [[2.0, 0.5], [0.5, 1.0]], RAND_TABLE,
+                       {name: arr.astype(float)
+                        for name, arr in exact.tensors.items()})
+
+
+@pytest.mark.parametrize("make", [rand_algebra, frac_algebra, float_algebra])
+def test_expectation_sums_orbits_as_classes(make):
+    rng = random.Random(1441)
+    a = make(rng)
+    seen = 0
+    while seen < 200:
+        d = random_diagram(rng)
+        if len(d.legs) % 2 or len(d.legs) > 10:
+            continue
+        e = expectation_value(d, a)
+        assert e.coefficient(()) == _expectation_by_classes(d, a), d
+        seen += 1
 
 
 def test_expectation_of_empty_is_partition_series():

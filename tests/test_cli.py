@@ -318,3 +318,38 @@ def test_only_numeric_commands_load_numpy(files, argv, numpy):
     done = run_python("-c", code, *argv)
     assert done.returncode == 0
     assert done.stderr.splitlines()[-1] == str(numpy)
+
+
+CYCLIC_ALG = json.dumps({
+    "dim": 1,
+    "colours": [{"name": "psi3", "kind": "cyc", "valence": 3}],
+    "pairing": ["1"],
+    "tensors": {"psi3": ["1"]},
+})
+
+# Six special cyclic stars: 18 legs, each its own multigraph node, and
+# degree 0, so a census rooted there has every star multiset to close.
+SIX_PSI3_SRC = "".join(f"vertex v{i} cyc PSI3 legs 3;\n" for i in range(6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["closures", "six_psi3.fd", "--table", "cyclic.tbl"],
+    ["enumerate", "--table", "cyclic.tbl", "--max-degree", "0",
+     "--root", "six_psi3.fd"],
+    ["expect", "six_psi3.fd", "--algebra", "cyclic.alg", "--potential",
+     "--max-degree", "0"],
+    ["verify", "frt", "--algebra", "cyclic.alg", "--potential",
+     "--root", "six_psi3.fd", "--max-degree", "0"],
+], ids=lambda v: v[0] if v[0] != "verify" else "verify frt")
+def test_every_closing_refuses_eighteen_legs(tmp_path, argv):
+    # In a child interpreter, so that a hang fails at run_python's timeout.
+    for name, text in (("six_psi3.fd", SIX_PSI3_SRC),
+                       ("cyclic.tbl", format_table(cyclic_table())),
+                       ("cyclic.alg", CYCLIC_ALG)):
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if (tmp_path / a).exists() else a
+            for a in argv]
+    done = run_python("-m", "fdcalc.cli", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: closures take at most 16 legs, not 18\n"

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from fdcalc.algebra import AlgebraSpec, amplitude, expectation_value
+from fdcalc.algebra import (
+    SYMMETRY_TOL, AlgebraSpec, amplitude, expectation_value,
+)
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (EMPTY, coupon_star, cyclic_star, symmetric_star)
 from fdcalc.gaussian import (
@@ -73,6 +75,19 @@ def test_pairing_validation():
         GaussianSpec(2, [[F(1)]])
     assert GaussianSpec(2, PD2).exact
     assert not GaussianSpec(2, [[2.0, 1.0], [1.0, 1.0]]).exact
+
+
+def test_pairing_symmetry_tolerance():
+    # Floats are held to the tolerance AlgebraSpec holds its pairing to,
+    # rationals to exact equality.
+    near = 1 + SYMMETRY_TOL / 10
+    assert not GaussianSpec(2, [[2.0, 1.0], [near, 1.0]]).exact
+    with pytest.raises(GaussianError, match="symmetric"):
+        GaussianSpec(2, [[2.0, 1.0], [1 + SYMMETRY_TOL * 10, 1.0]])
+    with pytest.raises(GaussianError, match="symmetric"):
+        GaussianSpec(2, [[F(2), F(1)], [F(1) + F(1, 10 ** 30), F(1)]])
+    with pytest.raises(GaussianError, match="symmetric"):
+        GaussianSpec(2, [[2.0, 1.0], [float("nan"), 1.0]])
 
 
 @pytest.mark.parametrize("pairing", [
@@ -279,6 +294,15 @@ def test_frt_float_mode():
                     {"phi4": np.full((2,) * 4, 0.5)})
     r = frt_check(symmetric_star("PHI4", 4, special=True), a,
                   with_potential=True, max_degree=8)
+    assert r.match
+    assert float(r.diff) < 1e-9
+
+
+def test_frt_float_pairing_symmetric_within_tolerance():
+    # AlgebraSpec accepts this pairing, so the Gaussian side must too.
+    a = AlgebraSpec(2, [[1.0, 0.1], [0.10000000000001, 1.0]], quartic_table(),
+                    {"phi4": np.full((2,) * 4, 0.5)})
+    r = frt_check(EMPTY, a, with_potential=True, max_degree=8)
     assert r.match
     assert float(r.diff) < 1e-9
 

@@ -1,13 +1,14 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from fdcalc.diagram import (
-    Diagram, DiagramError, EMPTY, Vertex, connected_components, cyclic_star,
-    degree, disjoint_union, mark_root, star_for, symmetric_star,
+    Diagram, DiagramError, EMPTY, Vertex, bare_edge, connected_components,
+    cyclic_star, degree, disjoint_union, mark_root, star_for, symmetric_star,
 )
 from fdcalc.generate import (
     DiagramClass, _star_multisets, closure_orbits, enumerate_closed,
@@ -214,6 +215,46 @@ def test_degree_guard():
         enumerate_closed(quartic_table(), max_degree=17)
     with pytest.raises(DiagramError):
         enumerate_closed(quartic_table(), max_degree=-1)
+
+
+def six_special_psi3_stars() -> Diagram:
+    """18 legs of degree 0: six special cyclic stars, every leg its own
+    multigraph node."""
+    out = EMPTY
+    for _ in range(6):
+        out = disjoint_union(out, cyclic_star("PSI3", 3, special=True))
+    return out
+
+
+def test_rooted_census_refuses_too_many_legs():
+    # Without the bound the walk would keep up to 17!! multigraphs.
+    start = time.perf_counter()
+    with pytest.raises(DiagramError, match="at most 16 legs"):
+        enumerate_closed(cyclic_table(), max_degree=0,
+                         root=six_special_psi3_stars())
+    assert time.perf_counter() - start < 1
+
+
+def test_rooted_census_refuses_an_eighteen_leg_special_star():
+    with pytest.raises(DiagramError, match="at most 16 legs, not 18"):
+        enumerate_closed(quartic_table(), max_degree=0,
+                         root=symmetric_star("PHI4", 18, special=True))
+
+
+def test_closure_orbits_refuse_a_bare_edge():
+    with pytest.raises(DiagramError, match="circle carrying no vertex"):
+        list(closure_orbits(disjoint_union(symmetric_star("x", 2),
+                                           bare_edge())))
+
+
+@pytest.mark.parametrize("piece", [
+    symmetric_star("x", 3),
+    # The odd count is read first: no error for 17 legs or a bare edge.
+    symmetric_star("x", 17),
+    disjoint_union(symmetric_star("x", 3), bare_edge()),
+], ids=["3-star", "17-star", "3-star-and-bare-edge"])
+def test_closure_orbits_yield_nothing_on_odd_legs(piece):
+    assert list(closure_orbits(piece)) == []
 
 
 def multigraphs_by_matchings(caps):

@@ -10,13 +10,13 @@ from fdcalc.diagram import (
     Diagram, DiagramError, EMPTY, TypedDiagram, bare_edge, degree,
     disjoint_union, mark_root, symmetric_star, cyclic_star,
 )
+from fdcalc.generate import MAX_CLOSURE_LEGS, closure_orbits
 from fdcalc.iso import (
     aut_order, aut_order_bruteforce, are_isomorphic, automorphism_generators,
     canonical_code,
 )
 from fdcalc.prop import (
-    MAX_CLOSURE_LEGS, braiding, closures,
-    compose, edge_pairings, identity, tensor,
+    braiding, closures, compose, edge_pairings, identity, tensor,
 )
 from test_iso_properties import diagrams
 from util import figure_eight, random_typed
@@ -301,6 +301,19 @@ def test_closures_match_composing_every_pairing(d):
         assert d.pairs <= rep.pairs
         assert (sorted(h for p in rep.pairs - d.pairs for h in p)
                 == sorted(d.legs))
+
+
+@SETTINGS
+@given(diagrams(max_bare=0).filter(lambda d: len(d.legs) <= 10))
+def test_orbits_of_a_marked_piece_are_its_classes(d):
+    # An isomorphism of two closures of a marked piece keeps the piece, so
+    # it restricts to an automorphism of it: no two orbits share a class.
+    marked = mark_root(d)
+    orbits = [(canonical_code(c).code, ways)
+              for c, ways in closure_orbits(marked)]
+    assert len({code for code, _ in orbits}) == len(orbits)
+    assert sorted(orbits) == [(canonical_code(rep).code, mult)
+                              for rep, mult, _ in closures(marked)]
 
 
 def _group_order(gens: list[dict[int, int]], halves: list[int]) -> int:

@@ -11,14 +11,21 @@ from fdcalc.colours import ColourEntry, ColourTable
 from fdcalc.diagram import Diagram, TypedDiagram, Vertex
 
 
+# Seconds a child interpreter may run before it is killed and its test
+# fails with ``subprocess.TimeoutExpired``, so that a hang cannot stall the
+# suite.
+RUN_TIMEOUT_S = 20
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter run on ``args`` that imports the same fdcalc as
-    the test suite, however pytest found it."""
+    the test suite, however pytest found it, killed after
+    ``RUN_TIMEOUT_S``."""
     src = os.path.dirname(os.path.dirname(fdcalc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, timeout=RUN_TIMEOUT_S)
 
 
 def quartic_table() -> ColourTable:
