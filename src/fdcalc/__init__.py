@@ -9,10 +9,11 @@ energy, rooted sums) in exact rational arithmetic, evaluates tensor
 amplitudes over a choice of pairing and vertex tensors, and cross-checks
 the diagram sums against direct Gaussian integrals.
 
-Only the numeric layer (``algebra``, ``gaussian``) needs numpy.  Its names
-are served on first use by the module ``__getattr__``, so that importing
-the package, and every command that computes with exact rationals alone,
-leaves numpy unloaded.
+Only the numeric layer (``algebra``, ``gaussian``) uses numpy, and only
+for float algebras, quadrature and the public names that hand out arrays;
+exact algebras run on ``fractions`` alone.  The numeric names are served on
+first use by the module ``__getattr__``, and importing the package, or
+computing with exact rationals alone, leaves numpy unloaded.
 """
 
 import importlib as _importlib

@@ -11,9 +11,16 @@ The amplitude of a typed diagram is the multilinear map obtained by
 contracting vertex tensors along edges.  An edge joining two lower slots
 inserts the copairing (the inverse matrix), one joining two upper slots
 inserts the pairing, and a mixed edge composes directly.  Legs convert in
-the same way so that input axes end up lower and output axes upper.  With
-rational entries everything is exact; float entries switch the whole
-algebra to double precision.
+the same way so that input axes end up lower and output axes upper.
+
+With rational entries everything is exact and runs on ``fractions`` alone:
+each operand is a flat row-major tuple of integer numerators over one
+common denominator, and the contraction sums products of Python ints.
+Float entries switch the whole algebra to double precision, computed by
+numpy.  numpy is imported only for float algebras and for the public names
+that hand out arrays: the ``pairing``, ``copairing``, ``eye`` and
+``tensors`` of an exact algebra are built as object arrays when first read,
+and so is the amplitude of an open diagram.
 """
 from __future__ import annotations
 
@@ -22,8 +29,8 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
+from operator import mul
 
 from .colours import (
     KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
@@ -34,7 +41,7 @@ from .diagram import (
 )
 from .generate import closure_orbits, enumerate_closed
 from .iso import aut_order
-from .poly import Poly, invert_exact, is_exact
+from .poly import Poly, integer_form, invert_exact, is_exact
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, groupoid_integral, variable_for,
 )
@@ -47,26 +54,53 @@ class AlgebraError(ValueError):
     pass
 
 
-def _as_tensor(data, shape: tuple[int, ...], exact: bool) -> np.ndarray:
-    arr = np.asarray(data, dtype=object)
-    if arr.shape != shape:
-        if arr.ndim == 1 and arr.size == int(np.prod(shape, dtype=object)):
-            arr = arr.reshape(shape)
-        else:
-            raise AlgebraError(
-                f"tensor has shape {arr.shape}, expected {shape}")
-    if exact:
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = Fraction(arr[idx])
-        return out
-    return arr.astype(float)
+# -- flat tensors -------------------------------------------------------------
+#
+# A tensor with ``dim`` values per axis is a flat sequence of its entries in
+# row-major order.
+
+def _entries(data) -> tuple[tuple[int, ...], list]:
+    """The shape and the row-major entries of nested lists, read the way
+    numpy reads them; an array, at any depth, is read through its
+    ``tolist``."""
+    shape, level = [], [data]
+    while True:
+        level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
+        if not (all(isinstance(x, (list, tuple)) for x in level)
+                and len({len(x) for x in level}) == 1):
+            return tuple(shape), level
+        shape.append(len(level[0]))
+        level = [y for x in level for y in x]
 
 
-def _tensors_equal(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:
+def _as_tensor(entries, shape: tuple[int, ...], exact: bool) -> list:
+    """The entries that :func:`_entries` read, checked against ``shape``
+    (a flat list of the right length passes) and converted to Fractions or
+    floats."""
+    got, flat = entries
+    if got != shape and not (len(got) == 1 and len(flat) == math.prod(shape)):
+        raise AlgebraError(f"tensor has shape {got}, expected {shape}")
+    return [Fraction(x) if exact else float(x) for x in flat]
+
+
+def _transposed(vals, dim: int, perm) -> list:
+    """The entries of a tensor after numpy's ``transpose(perm)``: axis k of
+    the result is axis ``perm[k]`` of ``vals``."""
+    if all(k == p for k, p in enumerate(perm)):
+        return vals
+    offsets = [0]
+    for axis in perm:
+        step = dim ** (len(perm) - 1 - axis)
+        offsets = [o + i * step for o in offsets for i in range(dim)]
+    return [vals[o] for o in offsets]
+
+
+def _equal(x, y, exact: bool) -> bool:
+    """Entrywise equality, exact or to ``SYMMETRY_TOL``; a NaN is unequal
+    to everything."""
     if exact:
-        return bool(np.all(a == b))
-    return float(np.max(np.abs(a - b), initial=0.0)) <= SYMMETRY_TOL
+        return all(u == v for u, v in zip(x, y))
+    return all(abs(u - v) <= SYMMETRY_TOL for u, v in zip(x, y))
 
 
 def _rotations(n: int):
@@ -82,34 +116,25 @@ def _permutations(n: int):
     return [(1, 0) + tuple(range(2, n))] + (_rotations(n) if n > 2 else [])
 
 
-_over = np.frompyfunc(Fraction, 2, 1)
-_scaled_numerator = np.frompyfunc(
-    lambda x, den: x.numerator * (den // x.denominator), 2, 1)
-
-
-def _integer_form(arr: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
-    """An exact array as integer numerators over one common denominator;
-    a float array passes through over 1."""
-    if not exact:
-        return arr, 1
-    den = math.lcm(*(x.denominator for x in arr.flat))
-    return _scaled_numerator(arr, den), den
-
-
 # -- the algebra --------------------------------------------------------------
 
 class AlgebraSpec:
     """Pairing plus one tensor per ordinary colour, exact or floating.
 
-    ``tensors`` maps ordinary colour names to arrays (or flat row-major
-    lists) of shape ``(dim,) * valence``; coupon axes run inputs first, then
-    outputs, matching slot order.  The mode is inferred: when the pairing
-    and all tensor entries are ints or Fractions the algebra computes
-    exactly, otherwise in doubles.  Cyclic and symmetric tensors must carry
-    the invariance their kind promises; this is checked at construction on
-    generators of the group: the one rotation, or a transposition plus the
-    rotation.  Exactly, that is the whole group; in doubles each generator
-    is held to ``SYMMETRY_TOL``, and longer words may drift a little more.
+    ``tensors`` maps ordinary colour names to arrays (or nested or flat
+    row-major lists) of shape ``(dim,) * valence``; coupon axes run inputs
+    first, then outputs, matching slot order.  The mode is inferred: when
+    the pairing and all tensor entries are ints or Fractions the algebra
+    computes exactly, otherwise in doubles.  Cyclic and symmetric tensors
+    must carry the invariance their kind promises; this is checked at
+    construction on generators of the group: the one rotation, or a
+    transposition plus the rotation.  Exactly, that is the whole group; in
+    doubles each generator is held to ``SYMMETRY_TOL``, and longer words may
+    drift a little more.
+
+    An exact algebra keeps every operand in its integer form and builds the
+    numpy arrays ``pairing``, ``copairing``, ``eye`` and ``tensors`` only
+    when they are read; a float algebra holds them from the start.
     """
 
     def __init__(self, dim: int, pairing, table: ColourTable, tensors: dict):
@@ -118,70 +143,127 @@ class AlgebraSpec:
         self.dim = dim
         self.table = table
 
-        flat = list(np.asarray(pairing, dtype=object).flat)
-        for t in tensors.values():
-            flat.extend(np.asarray(t, dtype=object).flat)
-        self.exact = all(is_exact(x) for x in flat)
+        pairing = _entries(pairing)
+        raw = {name: _entries(data) for name, data in tensors.items()}
+        self.exact = all(is_exact(x) for _, flat in (pairing, *raw.values())
+                         for x in flat)
 
-        self.pairing = _as_tensor(pairing, (dim, dim), self.exact)
-        if not _tensors_equal(self.pairing, self.pairing.T, self.exact):
+        flat = _as_tensor(pairing, (dim, dim), self.exact)
+        if not _equal(flat, _transposed(flat, dim, (1, 0)), self.exact):
             raise AlgebraError("pairing matrix must be symmetric")
+        rows = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
+        # The operands `_contract` sees: integer forms when exact, float
+        # arrays otherwise.
         if self.exact:
-            inverse, _ = invert_exact(self.pairing.tolist())
+            inverse, _ = invert_exact(rows)
             if inverse is None:
                 raise AlgebraError("pairing matrix is singular")
-            self.copairing = np.array(inverse, dtype=object)
-            self.eye = np.array([[Fraction(int(i == j)) for j in range(dim)]
-                                 for i in range(dim)], dtype=object)
+            self._pairing, self._copairing, self._eye = map(integer_form, (
+                flat, [x for row in inverse for x in row],
+                [Fraction(int(i == j)) for i in range(dim)
+                 for j in range(dim)]))
         else:
-            if np.linalg.cond(self.pairing) > COND_LIMIT:
+            import numpy as np
+            self._pairing = np.array(rows, dtype=float)
+            if np.linalg.cond(self._pairing) > COND_LIMIT:
                 raise AlgebraError("pairing matrix is ill conditioned")
-            self.copairing = np.linalg.inv(self.pairing)
-            self.eye = np.eye(dim)
+            self._copairing = np.linalg.inv(self._pairing)
+            self._eye = np.eye(dim)
 
-        self.tensors: dict[str, np.ndarray] = {}
         self._ordinary_of = {e.bold: e.name for e in table.ordinary()}
-        for name, data in tensors.items():
+        self._tensors = {}
+        for name, data in raw.items():
             entry = table[name]
             if entry.special:
                 raise AlgebraError(
                     f"tensors attach to ordinary colours, not {name!r}")
-            arr = _as_tensor(data, (dim,) * entry.valence, self.exact)
+            shape = (dim,) * entry.valence
+            flat = _as_tensor(data, shape, self.exact)
             if entry.kind == "cyclic":
                 for perm in _rotations(entry.valence):
-                    if not _tensors_equal(arr, arr.transpose(perm), self.exact):
+                    if not _equal(flat, _transposed(flat, dim, perm),
+                                  self.exact):
                         raise AlgebraError(
                             f"tensor {name!r} is not rotation invariant")
             elif entry.kind == "symmetric":
                 for perm in _permutations(entry.valence):
-                    if not _tensors_equal(arr, arr.transpose(perm), self.exact):
+                    if not _equal(flat, _transposed(flat, dim, perm),
+                                  self.exact):
                         raise AlgebraError(
                             f"tensor {name!r} is not permutation invariant")
-            self.tensors[name] = arr
+            self._tensors[name] = (
+                integer_form(flat) if self.exact
+                else np.array(flat, dtype=float).reshape(shape))
 
-        # Integer forms of the spec's own arrays, the only operands
-        # `_contract` sees, keyed by id; the arrays live as long as the spec.
-        self._forms = {
-            id(arr): _integer_form(arr, self.exact)
-            for arr in (self.pairing, self.copairing, self.eye,
-                        *self.tensors.values())}
+    def _array(self, form, rank: int):
+        """The public array of an operand: a float one is its own array, an
+        exact one becomes an object array of Fractions."""
+        if not self.exact:
+            return form
+        import numpy as np
+        ints, den = form
+        return np.array([Fraction(n, den) for n in ints],
+                        dtype=object).reshape((self.dim,) * rank)
 
-    def tensor_for(self, colour: str) -> np.ndarray:
-        """The tensor of a colour; special colours borrow their partner's."""
+    @cached_property
+    def pairing(self):
+        return self._array(self._pairing, 2)
+
+    @cached_property
+    def copairing(self):
+        return self._array(self._copairing, 2)
+
+    @cached_property
+    def eye(self):
+        return self._array(self._eye, 2)
+
+    @cached_property
+    def tensors(self) -> dict:
+        return {name: self._array(form, self.table[name].valence)
+                for name, form in self._tensors.items()}
+
+    def pairing_rows(self) -> list[list]:
+        """The pairing as nested lists of Fractions or floats, without
+        building its array."""
+        if not self.exact:
+            return self._pairing.tolist()
+        ints, den = self._pairing
+        return [[Fraction(n, den) for n in ints[i:i + self.dim]]
+                for i in range(0, len(ints), self.dim)]
+
+    def _tensor_name(self, colour: str) -> str:
+        """The ordinary colour whose tensor ``colour`` carries; special
+        colours borrow their partner's."""
         try:
             entry = self.table[colour]
         except ColourTableError as exc:
             raise AlgebraError(str(exc)) from None
         name = self._ordinary_of.get(colour, entry.name) if entry.special \
             else entry.name
-        try:
-            return self.tensors[name]
-        except KeyError:
-            raise AlgebraError(f"no tensor loaded for colour {colour!r}") from None
+        if name not in self._tensors:
+            raise AlgebraError(f"no tensor loaded for colour {colour!r}")
+        return name
+
+    def tensor_for(self, colour: str):
+        """The tensor of a colour; special colours borrow their partner's."""
+        return self.tensors[self._tensor_name(colour)]
+
+    def _entry(self, colour: str, idx: tuple[int, ...]):
+        """One entry of the tensor of a colour."""
+        form = self._tensors[self._tensor_name(colour)]
+        if not self.exact:
+            return form[idx]
+        ints, den = form
+        offset = 0
+        for i in idx:
+            offset = offset * self.dim + i
+        return Fraction(ints[offset], den)
 
     @property
     def is_orthonormal(self) -> bool:
-        return _tensors_equal(self.pairing, self.eye, self.exact)
+        if self.exact:
+            return self._pairing == self._eye
+        return _equal(self._pairing.flat, self._eye.flat, False)
 
     def orthonormalized(self) -> "AlgebraSpec":
         """Equivalent algebra in a basis where the pairing is the identity.
@@ -191,6 +273,7 @@ class AlgebraSpec:
         coupon output axes with its transposed inverse.  The result is a
         floating-point algebra (the factorization leaves the rationals).
         """
+        import numpy as np
         g = self.pairing.astype(float)
         b = np.linalg.cholesky(np.linalg.inv(g))
         b_up = np.linalg.inv(b).T
@@ -220,7 +303,7 @@ def _upper_halves(d: Diagram) -> frozenset[int]:
                      for h in v.outs)
 
 
-def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool) -> np.ndarray:
+def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool):
     """The matrix joining two ends, given whether each end is upper.
 
     The pairing joins two upper ends, the copairing joins two lower ends,
@@ -229,56 +312,86 @@ def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool) -> np.ndarray:
     and an output axis upper.
     """
     if up1 and up2:
-        return a.pairing
+        return a._pairing
     if up1 or up2:
-        return a.eye
-    return a.copairing
+        return a._eye
+    return a._copairing
 
 
-def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
+def _dot_exact(x, lx, y, ly, shared, dim):
+    """Tensordot of flat integer tensors over the ``shared`` labels; the
+    result's axes are the other labels of ``x``, then those of ``y``."""
+    free_x = [L for L in lx if L not in shared]
+    free_y = [L for L in ly if L not in shared]
+    xs = _transposed(x, dim, [lx.index(L) for L in free_x + shared])
+    ys = _transposed(y, dim, [ly.index(L) for L in free_y + shared])
+    n = dim ** len(shared)
+    rows = [xs[k:k + n] for k in range(0, len(xs), n)]
+    cols = [ys[k:k + n] for k in range(0, len(ys), n)]
+    return [sum(map(mul, r, c)) for r in rows for c in cols], free_x + free_y
+
+
+def _outer_exact(x, y):
+    return [u * v for u in x for v in y]
+
+
+def _dot_float(x, lx, y, ly, shared, dim):
+    import numpy as np
+    arr = np.asarray(np.tensordot(
+        x, y, axes=([lx.index(L) for L in shared],
+                    [ly.index(L) for L in shared])), dtype=x.dtype)
+    return arr, [L for L in lx + ly if L not in shared]
+
+
+def _outer_float(x, y):
+    import numpy as np
+    return np.asarray(np.multiply.outer(x, y), dtype=y.dtype)
+
+
+def _contract(ops: list[tuple[object, list]], ext: list,
+              a: AlgebraSpec) -> list:
     """Contract doubled labels away along a greedy pairwise plan.
 
     Every doubled label names an axis of two different operands.  While
     two operands share labels, the pair whose contraction has the fewest
     entries (ties to the lowest operand indices) is contracted over all the
     labels it shares in one step; outer products join what is left.  Exact
-    operands enter as integer numerators, and the product of their
-    denominators is divided out once at the end, so exact and float mode
-    share the contraction.
+    operands enter as integer numerators, contracted in Python ints, and
+    the product of their denominators is divided out once at the end;
+    float operands are contracted by numpy.  Returns the entries of the
+    result over the labels ``ext``, in row-major order.
     """
     counts = Counter(L for _, labs in ops for L in labs if isinstance(L, int))
     for lab in sorted(counts):
         if counts[lab] != 2:
             raise AlgebraError(f"label {lab} appears {counts[lab]} times")
 
+    dim = a.dim
+    dot, outer = ((_dot_exact, _outer_exact) if a.exact
+                  else (_dot_float, _outer_float))
     scale = 1
-    work = {}  # operand id -> (array, labels); a merged pair keeps the lower id
-    for k, (arr, labs) in enumerate(ops):
-        ints, den = a._forms[id(arr)]
-        scale *= den
-        work[k] = (ints, list(labs))
+    # operand id -> (entries, labels); a merged pair keeps the lower id
+    work = {}
+    for k, (form, labs) in enumerate(ops):
+        if a.exact:
+            form, den = form
+            scale *= den
+        work[k] = (form, list(labs))
     owners: dict[int, list[int]] = {}
-    extent: dict[int, int] = {}
-    for k, (arr, labs) in work.items():
-        for L, n in zip(labs, arr.shape):
+    for k, (_, labs) in work.items():
+        for L in labs:
             if isinstance(L, int):
                 owners.setdefault(L, []).append(k)
-                extent[L] = n
 
     while owners:
-        # the product of the shared extents of each pair of operands
-        shared_size: dict[tuple[int, int], int] = {}
-        for L, (i, j) in owners.items():
-            shared_size[i, j] = shared_size.get((i, j), 1) * extent[L]
-        i, j = min(shared_size, key=lambda p: (
-            work[p[0]][0].size * work[p[1]][0].size // shared_size[p] ** 2,
-            p))
+        # the number of labels each pair of operands shares
+        shared_count = Counter(tuple(pair) for pair in owners.values())
+        i, j = min(shared_count, key=lambda p: (
+            dim ** (len(work[p[0]][1]) + len(work[p[1]][1])
+                    - 2 * shared_count[p]), p))
         (x, lx), (y, ly) = work[i], work.pop(j)
         shared = [L for L in lx if L in ly]
-        arr = np.asarray(np.tensordot(
-            x, y, axes=([lx.index(L) for L in shared],
-                        [ly.index(L) for L in shared])), dtype=x.dtype)
-        work[i] = (arr, [L for L in lx + ly if L not in shared])
+        work[i] = dot(x, lx, y, ly, shared, dim)
         for L in shared:
             del owners[L]
         for L in ly:
@@ -286,40 +399,30 @@ def _contract(ops: list[tuple[np.ndarray, list]], ext: list, a: AlgebraSpec):
                 owners[L] = sorted(i if k == j else k for k in owners[L])
 
     result, labels = None, []
-    for arr, labs in work.values():
-        result = arr if result is None else np.asarray(
-            np.multiply.outer(result, arr), dtype=arr.dtype)
+    for x, labs in work.values():
+        result = x if result is None else outer(result, x)
         labels += labs
     if result is None:
-        return a.one()
-    if result.ndim == 0:
-        value = result.item()
-        return Fraction(value, scale) if a.exact else value
-    if a.exact:
-        result = _over(result, scale)
+        return [a.one()]
     perm = [labels.index(L) for L in ext]
-    return result.transpose(perm)
+    if a.exact:
+        return [Fraction(n, scale) for n in _transposed(result, dim, perm)]
+    if result.ndim == 0:
+        return [result.item()]
+    return list(result.transpose(perm).flat)
 
 
-def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec):
-    """The multilinear map of a typed diagram, as a dense array.
-
-    Axes run through the numbered inputs and then the numbered outputs; a
-    closed diagram yields a plain scalar.  Every colour must have a tensor
-    in ``a``.  A bare Diagram is accepted when closed.
-    """
-    if isinstance(t, Diagram):
-        if not t.is_closed:
-            raise AlgebraError("open diagrams need numbered endpoints")
-        t = TypedDiagram(t, (), ())
+def _operands(t: TypedDiagram, a: AlgebraSpec) -> tuple[list, list]:
+    """The operands of a typed diagram's contraction, each with the labels
+    of its axes, and the labels of the result's axes."""
     d = t.base
     upper = _upper_halves(d)
     role = {h: ("in", k) for k, h in enumerate(t.ins)}
     role.update({h: ("out", k) for k, h in enumerate(t.outs)})
 
-    ops: list[tuple[np.ndarray, list]] = []
+    ops: list[tuple[object, list]] = []
     for v in d.vertices:
-        ops.append((a.tensor_for(v.colour), list(v.slots)))
+        ops.append((a._tensors[a._tensor_name(v.colour)], list(v.slots)))
     for h1, h2 in sorted(d.pairs - d.bare_pairs):
         ops.append((_edge_operand(a, h1 in upper, h2 in upper), [h1, h2]))
     for h in d.legs:
@@ -333,7 +436,28 @@ def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec):
 
     ext = [("in", k) for k in range(t.src)] + \
           [("out", k) for k in range(t.tgt)]
-    return _contract(ops, ext, a)
+    return ops, ext
+
+
+def amplitude(t: TypedDiagram | Diagram, a: AlgebraSpec):
+    """The multilinear map of a typed diagram, as a dense numpy array.
+
+    Axes run through the numbered inputs and then the numbered outputs; a
+    closed diagram yields a plain scalar, and needs no numpy when ``a`` is
+    exact.  Every colour must have a tensor in ``a``.  A bare Diagram is
+    accepted when closed.
+    """
+    if isinstance(t, Diagram):
+        if not t.is_closed:
+            raise AlgebraError("open diagrams need numbered endpoints")
+        t = TypedDiagram(t, (), ())
+    ops, ext = _operands(t, a)
+    entries = _contract(ops, ext, a)
+    if not ext:
+        return entries[0]
+    import numpy as np
+    return np.array(entries, dtype=object if a.exact else float).reshape(
+        (a.dim,) * len(ext))
 
 
 def leg_polynomial(d: Diagram, a: AlgebraSpec) -> Poly:
@@ -343,12 +467,12 @@ def leg_polynomial(d: Diagram, a: AlgebraSpec) -> Poly:
     receive the same vector.
     """
     legs = tuple(d.legs)
-    amp = amplitude(TypedDiagram(d, legs, ()), a)
+    entries = _contract(*_operands(TypedDiagram(d, legs, ()), a), a)
     if not legs:
-        return Poly.constant(a.dim, amp)
+        return Poly.constant(a.dim, entries[0])
     terms: dict[tuple[int, ...], object] = {}
-    for idx in itertools.product(range(a.dim), repeat=len(legs)):
-        c = amp[idx]
+    for idx, c in zip(itertools.product(range(a.dim), repeat=len(legs)),
+                      entries):
         if not c:
             continue
         e = tuple(idx.count(i) for i in range(a.dim))
@@ -415,8 +539,7 @@ def amplitude_coloured(c: EdgeColouring, a: AlgebraSpec):
     colour = {h: k for p, k in c.eta for h in p}
     value = a.one()
     for v in c.base.vertices:
-        value = value * a.tensor_for(v.colour)[tuple(colour[h]
-                                                     for h in v.slots)]
+        value = value * a._entry(v.colour, tuple(colour[h] for h in v.slots))
     return value if a.exact else float(value)
 
 
@@ -424,10 +547,19 @@ def amplitude_coloured(c: EdgeColouring, a: AlgebraSpec):
 
 def _parse_number(x):
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise AlgebraError(f"entry {x!r} divides by zero") from None
     if isinstance(x, bool):
         raise AlgebraError("booleans are not numbers")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise AlgebraError(f"entries must be finite, not {value}")
+    return value
 
 
 def load_algebra(src: str | dict) -> AlgebraSpec:

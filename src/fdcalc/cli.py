@@ -6,8 +6,10 @@ free-energy, expect), or run the built-in cross-checks (verify ...).
 Output is tab-separated rows on stdout, or one JSON document with
 ``--format json``; identical invocations print identical bytes.
 
-Handlers import the numeric layer (``algebra``) where they use it, so that
-the commands that compute with exact rationals alone never load numpy.
+Handlers import the numeric layer (``algebra``) where they use it.  Exact
+algebras compute on ``fractions`` alone, so every command on exact inputs
+runs without numpy; only float algebras (float entries or
+``"orthonormalize": true``) and ``verify wick`` load it.
 """
 
 import argparse

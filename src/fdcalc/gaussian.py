@@ -7,24 +7,24 @@ the memoized recursion behind `poly_average`), tensor-product Gauss-Hermite
 quadrature after whitening, and the groupoid sums of the diagram modules.
 `frt_check` and `taylor_stars` hold the roads against each other.
 
-Rational inputs stay rational through every pairing sum; quadrature is
-always floating point.
+Rational inputs stay rational through every pairing sum, and an exact
+weight runs on ``fractions`` alone.  numpy serves float weights, the
+quadrature, and the public arrays: ``wick_moment`` and the ``pairing`` and
+``covariance`` of an exact weight, which are built when first read.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, pi, prod, sqrt
-
-import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .algebra import (SYMMETRY_TOL, AlgebraSpec, amplitude, expectation_value,
                       leg_polynomial, interaction_terms)
 from .colours import standard_table
 from .diagram import Diagram, Vertex, degree
 from .iso import canonical_code
-from .poly import Poly, invert_exact, is_exact
+from .poly import Poly, integer_form, invert_exact, is_exact
 from .series import (DEFAULT_DEGREE, MultiSeries, Monomial, diagram_monomial,
                      name_monomial)
 
@@ -52,7 +52,11 @@ class GaussianSpec:
     without a row exchange and is positive.  Float entries are checked
     through the leading principal minors.
     Moments are polynomials in the inverse matrix, kept exact in rational
-    mode.
+    mode: the covariance is held as integer numerators over one denominator
+    d, and the moment of order 2k is summed in Python ints over d^k.  A
+    float weight holds ``pairing`` and ``covariance`` as numpy arrays from
+    the start; an exact one builds them as object arrays when they are
+    first read.
     """
 
     def __init__(self, dim: int, pairing):
@@ -74,16 +78,33 @@ class GaussianSpec:
             inverse, pivots = invert_exact(mat)
             if not all(p is not None and p > 0 for p in pivots):
                 raise GaussianError("pairing must be positive definite")
-            # reshape keeps the 0 x 0 weight square
-            self.pairing = np.array(mat, dtype=object).reshape(dim, dim)
-            self.covariance = np.array(inverse, dtype=object).reshape(dim, dim)
+            self._rows = mat
+            nums, self._den = integer_form(x for row in inverse for x in row)
+            self._cov = [nums[i:i + dim] for i in range(0, len(nums), dim)]
         else:
+            import numpy as np
             for k in range(1, dim + 1):
                 if np.linalg.det(np.array([row[:k] for row in mat[:k]])) <= 0:
                     raise GaussianError("pairing must be positive definite")
             self.pairing = np.array(mat, dtype=float)
-            self.covariance = np.linalg.inv(self.pairing)
-        self._moments: dict[tuple[int, ...], object] = {(): self.one()}
+            self.covariance = self._cov = np.linalg.inv(self.pairing)
+        # Moment numerators by sorted index tuple, ints when exact.
+        self._moments: dict[tuple[int, ...], object] = {
+            (): 1 if self.exact else 1.0}
+
+    # A float weight sets both arrays in ``__init__``, which hides these.
+    @cached_property
+    def pairing(self):
+        import numpy as np
+        # reshape keeps the 0 x 0 weight square
+        return np.array(self._rows, dtype=object).reshape(self.dim, self.dim)
+
+    @cached_property
+    def covariance(self):
+        import numpy as np
+        return np.array([[Fraction(n, self._den) for n in row]
+                         for row in self._cov],
+                        dtype=object).reshape(self.dim, self.dim)
 
     def one(self):
         return Fraction(1) if self.exact else 1.0
@@ -96,18 +117,21 @@ class GaussianSpec:
         idx = tuple(sorted(idx))
         if any(not 0 <= i < self.dim for i in idx):
             raise GaussianError("coordinate index out of range")
-        return self._moment(idx)
+        if len(idx) % 2:
+            return self.zero()
+        m = self._moment(idx)
+        return Fraction(m, self._den ** (len(idx) // 2)) if self.exact else m
 
     def _moment(self, idx: tuple[int, ...]):
+        """The moment of a sorted index tuple of even length, as its
+        numerator when exact."""
         known = self._moments.get(idx)
         if known is not None:
             return known
-        if len(idx) % 2:
-            return self.zero()
         first, rest = idx[0], idx[1:]
-        total = self.zero()
+        total = 0
         for j in range(len(rest)):
-            total += (self.covariance[first, rest[j]]
+            total += (self._cov[first][rest[j]]
                       * self._moment(rest[:j] + rest[j + 1:]))
         self._moments[idx] = total
         return total
@@ -115,7 +139,7 @@ class GaussianSpec:
 
 # -- moment tensors ------------------------------------------------------------
 
-def wick_moment(k: int, g: GaussianSpec) -> np.ndarray:
+def wick_moment(k: int, g: GaussianSpec):
     """The dense order-k moment tensor; the zero tensor for odd k.
 
     Entry (i_1..i_k) is the sum over the (k-1)!! pairings of the product of
@@ -124,6 +148,7 @@ def wick_moment(k: int, g: GaussianSpec) -> np.ndarray:
     """
     if not 0 <= k <= WICK_LIMIT:
         raise GaussianError(f"moment order {k} out of range 0..{WICK_LIMIT}")
+    import numpy as np
     shape = (g.dim,) * k
     dtype = object if g.exact else float
     if k % 2:
@@ -158,6 +183,8 @@ def quadrature_average(p: Poly, g: GaussianSpec) -> float:
     """
     if g.dim > QUAD_DIM_LIMIT:
         raise GaussianError(f"quadrature limited to {QUAD_DIM_LIMIT} axes")
+    import numpy as np
+    from numpy.polynomial.hermite import hermgauss
     order = (p.degree() + 1 + 1) // 2 + 2
     nodes, weights = hermgauss(order)
     ginv = np.linalg.inv(np.asarray(g.pairing, dtype=float))
@@ -180,11 +207,23 @@ def _potential_expansion(f: Poly, a: AlgebraSpec,
     The walk fixes one coupling's exponent at a time, smallest first, and
     carries the product of ``f`` with the powers fixed so far, so each
     power of a star polynomial is one product away from the one before.
+    Exact polynomials enter as integer coefficients over one denominator
+    each, so the products run in Python ints, and ``denom`` gathers the
+    denominators with the factorials.
     """
-    gauss = GaussianSpec(a.dim, a.pairing.tolist())
+    gauss = GaussianSpec(a.dim, a.pairing_rows())
+    exact = a.exact and all(is_exact(c) for c in f.terms.values())
+
+    def scaled(p: Poly) -> tuple[Poly, int]:
+        if not exact:
+            return p, 1
+        nums, den = integer_form(p.terms.values())
+        return Poly(p.dim, dict(zip(p.terms, nums))), den
+
     # With no budget every exponent is 0, and no star polynomial is needed;
     # an algebra may lack the tensor of a colour the average never uses.
-    terms = interaction_terms(a) if budget else ()
+    terms = [(key, *scaled(part))
+             for key, part in (interaction_terms(a) if budget else ())]
     coeffs: dict[Monomial, Fraction] = {}
 
     def descend(i: int, poly: Poly, left: int, mono: Monomial, denom: int):
@@ -193,15 +232,17 @@ def _potential_expansion(f: Poly, a: AlgebraSpec,
             if val:
                 coeffs[tuple(sorted(mono))] = Fraction(val) / denom
             return
-        key, part = terms[i]
+        key, part, den = terms[i]
         power = Poly.constant(a.dim, 1)
         for e in range(left // key.grade + 1):
             if e:
                 power = power * part
             descend(i + 1, poly * power, left - e * key.grade,
-                    mono + ((key, e),) if e else mono, denom * factorial(e))
+                    mono + ((key, e),) if e else mono,
+                    denom * factorial(e) * den ** e)
 
-    descend(0, f, budget, (), 1)
+    f, den = scaled(f)
+    descend(0, f, budget, (), den)
     return coeffs
 
 
@@ -311,13 +352,12 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
     specs.append(("symmetric", "vec", 1))
     tensors = {"vec": list(point)}
     for n in orders:
-        t = np.zeros((dim,) * n, dtype=object)
-        for idx in np.ndindex(*t.shape):
+        flat = []
+        for idx in itertools.product(range(dim), repeat=n):
             e = tuple(idx.count(i) for i in range(dim))
             c = phi.terms.get(e)
-            if c:
-                t[idx] = c * prod(factorial(k) for k in e)
-        tensors[f"d{n}"] = t
+            flat.append(c * prod(factorial(k) for k in e) if c else 0)
+        tensors[f"d{n}"] = flat
     # AlgebraSpec infers the mode from the entries.  A float constant term
     # is in no tensor, so the identity pairing carries the mode for it.
     one = 1 if exact else 1.0

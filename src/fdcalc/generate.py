@@ -207,8 +207,10 @@ def multigraphs(caps: tuple[int, ...]):
     takes its next partner ``b``, tried from ``n-1`` down to the partner
     ``a`` took last (or ``a`` itself, a loop, when it has taken none), so
     the tuples come out in descending lexicographic order.  A branch that
-    strands a leg yields nothing.
+    strands a leg yields nothing, and an odd total yields nothing at once.
     """
+    if sum(caps) % 2:
+        return iter(())
     n = len(caps)
     rem = list(caps)
 

@@ -6,10 +6,12 @@ so exact and numeric pipelines share the type.
 
 The module also holds the one exact elimination, ``invert_exact``, which
 gives the copairing of an algebra and the covariance of a Gaussian weight
-together with the pivots behind its positivity check.
+together with the pivots behind its positivity check, and ``integer_form``,
+which lets exact arithmetic run on Python ints.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -75,6 +77,14 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def integer_form(values) -> tuple[tuple[int, ...], int]:
+    """Exact scalars as integer numerators over their least common
+    denominator."""
+    values = tuple(values)
+    den = math.lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 def invert_exact(rows) -> tuple[list[list[Fraction]] | None, list]:

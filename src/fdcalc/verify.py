@@ -4,7 +4,9 @@ Every check fabricates its own instances deterministically (fixed seeds,
 fixed diagram families), so two runs print byte-identical reports.  Each
 returns a CheckResult: a verdict plus one line per case.  The checks
 that need the numeric layer import ``gaussian`` themselves, so that the
-others run without numpy.
+others never load it.  ``taylor``, and ``frt`` on an exact algebra, compute
+in exact rationals and run without numpy; ``wick`` compares against
+quadrature, which loads it.
 """
 
 from __future__ import annotations

@@ -299,6 +299,38 @@ def test_exact_pairing_that_needs_a_row_exchange():
                     {"phi4": ones_tensor(2, 4)})
 
 
+def test_exact_arrays_are_built_from_the_entries():
+    # An exact algebra computes on integer forms; the arrays it hands out
+    # are object arrays of Fractions, built once, equal to what it was given.
+    rng = random.Random(19)
+    tensors = {e.name: symmetrised(rand_fractions(rng, 2, e.valence), e)
+               for e in RAND_TABLE.ordinary()}
+    pairing = [[F(2, 3), F(1, 2)], [F(1, 2), F(3)]]
+    a = AlgebraSpec(2, pairing, RAND_TABLE, tensors)
+    assert a.pairing.tolist() == pairing and a.pairing is a.pairing
+    assert a.pairing_rows() == pairing
+    assert (a.pairing.dot(a.copairing) == a.eye).all()
+    assert a.tensors.keys() == tensors.keys()
+    for name, arr in tensors.items():
+        assert a.tensors[name].shape == arr.shape
+        assert np.array_equal(a.tensors[name], arr)
+        assert a.tensor_for(name) is a.tensors[name]
+    for arr in (a.pairing, a.copairing, a.eye, *a.tensors.values()):
+        assert arr.dtype == object and all(type(x) is F for x in arr.flat)
+    assert amplitude(CUP, a).dtype == object
+
+
+def test_nested_and_flat_entries_agree():
+    rng = random.Random(29)
+    entry = RAND_TABLE["s4"]
+    arr = rand_tensor(rng, 2, entry)
+    for data in (arr, arr.tolist(), list(arr.flat), list(arr)):
+        a = AlgebraSpec(2, EYE2, RAND_TABLE, {"s4": data})
+        assert np.array_equal(a.tensors["s4"], arr)
+    with pytest.raises(AlgebraError, match=r"shape \(2, 8\)"):
+        AlgebraSpec(2, EYE2, RAND_TABLE, {"s4": arr.reshape(2, 8)})
+
+
 def test_tensor_invariance_checked():
     table = standard_table(("cyclic", "c3", 3))
     bad = np.zeros((2,) * 3, dtype=object)
@@ -642,9 +674,13 @@ def test_load_algebra_float_mode_and_flags():
     assert load_algebra(doc).is_orthonormal
 
 
-# Documents that are not objects, and objects with a missing field or a
-# field of the wrong type.
+# Documents that are not objects, objects with a missing field or a field
+# of the wrong type, and entries that are no finite number: a zero
+# denominator, a NaN, a literal that JSON reads as infinity and an integer
+# beyond the doubles.
 MALFORMED = ["[]", "3", "null", '"dim"'] + [
+    json.dumps(algebra_doc()).replace('["1"]}', f"[{big}]}}")
+    for big in ("1e400", 10 ** 400)] + [
     lambda doc: doc["colours"][0].pop("valence"),
     lambda doc: doc["colours"][0].pop("name"),
     lambda doc: doc["colours"][0].update(kind="coupon", inputs=2),
@@ -657,6 +693,11 @@ MALFORMED = ["[]", "3", "null", '"dim"'] + [
     lambda doc: doc.__setitem__("dim", None),
     lambda doc: doc.__setitem__("dim", -1),
     lambda doc: doc.__setitem__("pairing", ["1", "0", "0"]),
+    lambda doc: doc.__setitem__("pairing", ["1/0"]),
+    lambda doc: doc["tensors"].__setitem__("phi4", ["2/0"]),
+    lambda doc: doc.__setitem__("pairing", [float("nan")]),
+    lambda doc: doc["tensors"].__setitem__("phi4", [float("nan")]),
+    lambda doc: doc["tensors"].__setitem__("phi4", [float("inf")]),
 ]
 
 

@@ -38,6 +38,26 @@ QUARTIC_ALG = json.dumps({
     "tensors": {"phi4": ["1"]},
 })
 
+# A float algebra, and an exact one that "orthonormalize" turns into floats.
+FLOAT_ALG = json.dumps({
+    "dim": 2,
+    "colours": [{"name": "phi4", "kind": "sym", "valence": 4}],
+    "pairing": [2.0, 0.5, 0.5, 1.0],
+    "tensors": {"phi4": [1.5, -0.25, -0.25, 0.75, -0.25, 0.75, 0.75, 0.125,
+                         -0.25, 0.75, 0.75, 0.125, 0.75, 0.125, 0.125, -1.0]},
+})
+
+ORTHO_ALG = json.dumps({
+    "dim": 2,
+    "colours": [{"name": "phi3", "kind": "sym", "valence": 3},
+                {"name": "phi4", "kind": "sym", "valence": 4}],
+    "pairing": ["2", "1", "1", "3"],
+    "tensors": {"phi3": ["1", "1/2", "1/2", "-1", "1/2", "-1", "-1", "2"],
+                "phi4": ["1", "0", "0", "1/3", "0", "1/3", "1/3", "0",
+                         "0", "1/3", "1/3", "0", "1/3", "0", "0", "2"]},
+    "orthonormalize": True,
+})
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -52,7 +72,8 @@ def files(tmp_path):
     for name, text in (("theta.fd", THETA_SRC), ("star4.fd", STAR4_SRC),
                        ("idpair.fd", IDPAIR_SRC),
                        ("quartic.tbl", format_table(quartic_table())),
-                       ("quartic.alg", QUARTIC_ALG)):
+                       ("quartic.alg", QUARTIC_ALG),
+                       ("float.alg", FLOAT_ALG), ("ortho.alg", ORTHO_ALG)):
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -300,7 +321,17 @@ NUMPY_USE = [
     (["verify", "expfz", "--table", "quartic.tbl", "--max-degree", "8"],
      False),
     (["verify", "fubini"], False),
-    (["partition", "--algebra", "quartic.alg", "--max-degree", "8"], True),
+    (["partition", "--algebra", "quartic.alg", "--max-degree", "8"], False),
+    (["free-energy", "--algebra", "quartic.alg", "--max-degree", "8"], False),
+    (["expect", "star4.fd", "--algebra", "quartic.alg"], False),
+    (["expect", "star4.fd", "--algebra", "quartic.alg", "--potential",
+      "--max-degree", "8"], False),
+    (["verify", "frt", "--algebra", "quartic.alg"], False),
+    (["verify", "frt", "--algebra", "quartic.alg", "--potential", "--root",
+      "star4.fd", "--max-degree", "8"], False),
+    (["verify", "taylor"], False),
+    (["partition", "--algebra", "float.alg", "--max-degree", "8"], True),
+    (["partition", "--algebra", "ortho.alg", "--max-degree", "8"], True),
     (["verify", "wick"], True),
 ]
 
@@ -353,3 +384,119 @@ def test_every_closing_refuses_eighteen_legs(tmp_path, argv):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: closures take at most 16 legs, not 18\n"
+
+
+# The stdout of float algebras, pinned byte for byte: every coefficient is
+# the exact value of a double, so a changed bit anywhere in the float
+# contraction, the pairing inverse or the orthonormal basis shows here.
+GOLDEN = [
+    (["partition", "--algebra", "float.alg", "--max-degree", "8"],
+     "1\t1\n"
+     "x[phi4,4]\t7352815718155909/144115188075855872\n"
+     "x[phi4,4]^2\t2974739159116790803/13835058055282163712\n"),
+    (["free-energy", "--algebra", "float.alg", "--max-degree", "8"],
+     "x[phi4,4]\t7352815718155909/144115188075855872\n"
+     "x[phi4,4]^2\t26631876640090121551201191117847733"
+     "/124615124604835863084731911901282304\n"),
+    (["expect", "star4.fd", "--algebra", "float.alg"],
+     "1\t7352815718155909/144115188075855872\n"),
+    (["expect", "star4.fd", "--algebra", "float.alg", "--potential",
+      "--max-degree", "8"],
+     "1\t7352815718155909/144115188075855872\n"
+     "x[phi4,4]\t2974739159116790803/6917529027641081856\n"
+     "x[phi4,4]^2\t17397748081060763263/55340232221128654848\n"),
+    (["verify", "frt", "--algebra", "float.alg", "--potential",
+      "--max-degree", "8"],
+     "1\t1\t1\n"
+     "phi4\t7352815718155909/144115188075855872"
+     "\t919101964769489/18014398509481984\n"
+     "phi4^2\t2974739159116790803/13835058055282163712"
+     "\t7746716560199975/36028797018963968\n"
+     "max deviation\t403/13835058055282163712\n"
+     "PASS\n"),
+    (["verify", "frt", "--algebra", "float.alg", "--potential", "--root",
+      "star4.fd", "--max-degree", "8"],
+     "1\t7352815718155909/144115188075855872"
+     "\t919101964769489/18014398509481984\n"
+     "phi4\t2974739159116790803/6917529027641081856"
+     "\t7746716560199975/18014398509481984\n"
+     "phi4^2\t17397748081060763263/55340232221128654848"
+     "\t1415832363367577/4503599627370496\n"
+     "max deviation\t22913/55340232221128654848\n"
+     "PASS\n"),
+    (["partition", "--algebra", "ortho.alg", "--max-degree", "8"],
+     "1\t1\n"
+     "x[phi4,4]\t8046431334235289/72057594037927936\n"
+     "x[phi3,3]^2\t16513198633691833/72057594037927936\n"
+     "x[phi4,4]^2\t80956706901612097/1729382256910270464\n"),
+    (["free-energy", "--algebra", "ortho.alg", "--max-degree", "8"],
+     "x[phi4,4]\t8046431334235289/72057594037927936\n"
+     "x[phi3,3]^2\t16513198633691833/72057594037927936\n"
+     "x[phi4,4]^2\t1264151208491280327951390739219885"
+     "/31153781151208965771182977975320576\n"),
+    (["expect", "star4.fd", "--algebra", "ortho.alg"],
+     "1\t8046431334235289/72057594037927936\n"),
+    (["expect", "star4.fd", "--algebra", "ortho.alg", "--potential",
+      "--max-degree", "8"],
+     "1\t8046431334235289/72057594037927936\n"
+     "x[phi4,4]\t80956706901612097/864691128455135232\n"
+     "x[phi3,3]^2\t613870653208115147/1729382256910270464\n"
+     "x[phi4,4]^2\t254074836385754073/2305843009213693952\n"),
+    (["verify", "frt", "--algebra", "ortho.alg", "--potential",
+      "--max-degree", "8"],
+     "1\t1\t1\n"
+     "phi3^2\t16513198633691833/72057594037927936"
+     "\t2064149829211479/9007199254740992\n"
+     "phi4\t8046431334235289/72057594037927936"
+     "\t1005803916779411/9007199254740992\n"
+     "phi4^2\t80956706901612097/1729382256910270464"
+     "\t6746392241801007/144115188075855872\n"
+     "max deviation\t1/72057594037927936\n"
+     "PASS\n"),
+    (["verify", "frt", "--algebra", "ortho.alg", "--potential", "--root",
+      "star4.fd", "--max-degree", "8"],
+     "1\t8046431334235289/72057594037927936"
+     "\t1005803916779411/9007199254740992\n"
+     "phi3^2\t613870653208115147/1729382256910270464"
+     "\t3197242985458933/9007199254740992\n"
+     "phi4\t80956706901612097/864691128455135232"
+     "\t6746392241801007/72057594037927936\n"
+     "phi4^2\t254074836385754073/2305843009213693952"
+     "\t1984959659263703/18014398509481984\n"
+     "max deviation\t89/2305843009213693952\n"
+     "PASS\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", GOLDEN,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else "")
+def test_float_algebra_output_is_pinned(files, argv, stdout):
+    assert run([files.get(a, a) for a in argv]) == (0, stdout, "")
+
+
+# Entries that parse but are no finite number: a zero denominator, a NaN,
+# and a literal beyond the doubles, which JSON reads as infinity.
+BAD_ENTRIES = [
+    (QUARTIC_ALG.replace('"tensors": {"phi4": ["1"]}',
+                         '"tensors": {"phi4": ["1/0"]}'), "divides by zero"),
+    (QUARTIC_ALG.replace('"pairing": ["1"]', '"pairing": [NaN]'),
+     "must be finite, not nan"),
+    (QUARTIC_ALG.replace('"tensors": {"phi4": ["1"]}',
+                         '"tensors": {"phi4": [1e400]}'),
+     "must be finite, not inf"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_ENTRIES,
+                         ids=["zero-denominator", "nan", "1e400"])
+@pytest.mark.parametrize("argv", [
+    ["partition", "--algebra", "bad.alg", "--max-degree", "4"],
+    ["expect", "star4.fd", "--algebra", "bad.alg"],
+], ids=lambda v: v[0])
+def test_non_finite_entries_exit_two(files, tmp_path, text, message, argv):
+    (tmp_path / "bad.alg").write_text(text)
+    files = files | {"bad.alg": str(tmp_path / "bad.alg")}
+    rc, out, err = run([files.get(a, a) for a in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err

@@ -224,6 +224,18 @@ def test_average_without_potential_is_plain_moment():
     assert got.coeffs == {(): F(1)}  # covariance (0,0) entry
 
 
+def test_average_of_a_float_polynomial_over_an_exact_algebra():
+    # The integer form serves exact polynomials only; a float one keeps its
+    # coefficients, and the average is its scalar times the exact one, up
+    # to rounding.
+    a = ones_algebra(quartic_table())
+    exact = average_with_potential(Poly(1, {(4,): F(1)}), a, 2)
+    got = average_with_potential(Poly(1, {(4,): 0.3}), a, 2)
+    assert len(exact.coeffs) == 3 and got.coeffs.keys() == exact.coeffs.keys()
+    for m, c in exact.coeffs.items():
+        assert abs(got.coefficient(m) - c * F(3, 10)) <= 1e-15 * c
+
+
 def test_average_parity():
     a = ones_algebra(quartic_table())
     got = average_with_potential(Poly(1, {(3,): F(1)}), a, 3)

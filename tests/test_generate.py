@@ -17,7 +17,7 @@ from fdcalc.generate import (
 from fdcalc.iso import are_isomorphic, canonical_code
 from util import (
     banded_pair, band_with_loops, coupon_table, cubic_table, cyclic_table,
-    dumbbell, figure_eight, mixed_table, quartic_table, theta,
+    dumbbell, figure_eight, mixed_table, quartic_table, run_python, theta,
 )
 
 
@@ -295,6 +295,15 @@ def _capacity_vectors():
 @pytest.mark.parametrize("caps", _capacity_vectors(), ids=str)
 def test_multigraph_walk_matches_matching_oracle(caps):
     assert list(multigraphs(caps)) == multigraphs_by_matchings(caps)
+
+
+def test_odd_multigraph_walk_ends_at_once():
+    # 21 one-leg nodes: without a parity test the walk would try every
+    # pairing of the first 20 before finding the stranded leg.  In a child
+    # interpreter, so that a slow walk fails at run_python's timeout.
+    done = run_python("-c", "from fdcalc.generate import multigraphs; "
+                            "print(list(multigraphs((1,) * 21)))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 @pytest.mark.parametrize("table,maxdeg,root", [

@@ -3,11 +3,13 @@
 Imports point one way.  The combinatorial core (colour tables, diagrams,
 their isomorphisms, the census and its orbit engine, wiring, series and
 coverings) needs no numbers beyond exact rationals.  The numeric layer
-(``algebra``, ``gaussian``) adds numpy tensors and quadrature, and the front
-end (``verify``, ``cli``) sits on both.  The package ``__init__`` and the
-front end import the numeric layer only inside the functions that use it,
-never at module level, so that a command or an ``import fdcalc`` that needs
-no numpy loads none.  A private name stays in its module.
+(``algebra``, ``gaussian``) adds tensor amplitudes and Gaussian averages,
+and the front end (``verify``, ``cli``) sits on both.  The package
+``__init__`` and the front end import the numeric layer only inside the
+functions that use it, never at module level, and the numeric layer imports
+numpy only inside its float branches and the functions that hand out
+arrays, so that a command or an import that computes with exact rationals
+alone loads no numpy.  A private name stays in its module.
 """
 import ast
 import importlib
@@ -166,4 +168,10 @@ def test_unknown_attribute_raises():
 
 def test_bare_import_leaves_numpy_unloaded():
     done = run_python("-c", "import sys, fdcalc; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_numeric_layer_import_leaves_numpy_unloaded():
+    done = run_python("-c", "import sys, fdcalc.algebra, fdcalc.gaussian; "
+                            "print('numpy' in sys.modules)")
     assert (done.returncode, done.stdout) == (0, "False\n")

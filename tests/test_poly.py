@@ -1,13 +1,15 @@
-"""The exact elimination kernel against a Leibniz-sum determinant.
+"""The exact kernels of ``poly``: the elimination against a Leibniz-sum
+determinant, and the integer form.
 
 The oracle expands determinants over permutations and shares no code with
 ``fdcalc``.
 """
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
-from fdcalc.poly import invert_exact
+from fdcalc.poly import integer_form, invert_exact
 
 
 def leibniz_det(m):
@@ -93,3 +95,16 @@ def test_kernel_leaves_its_input_alone():
 
 def test_kernel_on_the_empty_matrix():
     assert invert_exact([]) == ([], [])
+
+
+def test_integer_form_over_the_least_denominator():
+    rng = random.Random(5)
+    for _ in range(200):
+        values = [F(rng.randint(-20, 20), rng.randint(1, 12))
+                  for _ in range(rng.randint(0, 6))] + [rng.randint(-3, 3)]
+        nums, den = integer_form(values)
+        assert all(type(n) is int for n in nums)
+        assert [F(n, den) for n in nums] == values
+        # A smaller common denominator would divide den and every numerator.
+        assert math.gcd(den, *nums) == 1
+    assert integer_form([]) == ((), 1)
