@@ -30,7 +30,7 @@ from .diagram import (Diagram, DiagramError, TypedDiagram, Vertex, bare_edge,
 from .dsl import (ParseError, format_table, parse_diagram, parse_table,
                   serialize_diagram)
 from .generate import DiagramClass, enumerate_closed
-from .iso import are_isomorphic, aut_order_bruteforce, canonical_code
+from .iso import are_isomorphic, canonical_code
 from .poly import Poly
 from .prop import braiding, closures, compose, edge_pairings, identity, tensor
 from .series import (MultiSeries, VariableKey, diagram_monomial,

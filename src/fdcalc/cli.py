@@ -23,7 +23,7 @@ from .generate import enumerate_closed
 from .iso import canonical_code
 from .prop import closures, compose, tensor
 from .series import (MultiSeries, diagram_monomial, format_monomial,
-                     free_energy_series, partition_series, sorted_terms)
+                     partition_series, sorted_terms)
 from . import verify
 
 # Every fdcalc error class subclasses ValueError.
@@ -112,19 +112,19 @@ def _cmd_enumerate(args):
 
 
 def _cmd_series(args):
-    """``partition`` and ``free-energy``: the subparser's defaults give the
-    table census ``census`` and the map ``of_z`` that takes an algebra's
-    partition function under its potential to the same series."""
+    """``partition`` and ``free-energy``: the partition function ``Z``, of
+    the table's closed diagrams or of an algebra under its potential, taken
+    to the printed series by the subparser's default ``of_z``."""
     if bool(args.table) == bool(args.algebra):
         raise DiagramError("give exactly one of --table and --algebra")
     if args.table:
-        s = args.census(parse_table(_read(args.table)), args.max_degree)
+        z = partition_series(parse_table(_read(args.table)), args.max_degree)
     else:
         from .algebra import expectation_value, load_algebra
-        s = args.of_z(expectation_value(
+        z = expectation_value(
             Diagram(), load_algebra(_read(args.algebra)),
-            with_potential=True, max_degree=args.max_degree))
-    rows, obj = _series_rows(s)
+            with_potential=True, max_degree=args.max_degree)
+    rows, obj = _series_rows(args.of_z(z))
     return rows, obj, 0
 
 
@@ -209,16 +209,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                   " class must contain")
     q.set_defaults(handler=_cmd_enumerate)
 
-    for name, census, of_z, blurb in (
-            ("partition", partition_series, lambda z: z,
+    for name, of_z, blurb in (
+            ("partition", lambda z: z,
              "series of all closed diagrams weighted by 1/|Aut|"),
-            ("free-energy", free_energy_series, MultiSeries.log,
+            ("free-energy", MultiSeries.log,
              "series of connected closed diagrams weighted by 1/|Aut|")):
         q = sub.add_parser(name, parents=[fmt], help=blurb)
         q.add_argument("--table")
         q.add_argument("--algebra")
         q.add_argument("--max-degree", type=int, required=True)
-        q.set_defaults(handler=_cmd_series, census=census, of_z=of_z)
+        q.set_defaults(handler=_cmd_series, of_z=of_z)
 
     q = sub.add_parser("expect", parents=[fmt],
                        help="expectation of a diagram in an algebra")

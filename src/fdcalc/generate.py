@@ -31,11 +31,20 @@ orbit stands for.  The census filters and canonicalises these closures,
 engine alone decides whether a piece can be closed: an odd leg count closes
 to nothing, and more than ``MAX_CLOSURE_LEGS`` legs or a bare edge raise
 :class:`DiagramError`, for every caller, a rooted census included.
+
+The series need no census.  The closed diagrams over one star multiset form
+the action groupoid of the piece's automorphisms on the leg matchings, whose
+cardinality is the number of matchings over the group order, so
+:func:`push_forward` walks the same star multisets and yields that number
+for each from one canonical search per colour and one on the marked root.
+No closure is formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` bound only
+the census; the walk stops instead after ``MAX_STAR_MULTISETS`` multisets.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial, prod
 
 from .colours import ColourEntry, ColourTable
@@ -47,6 +56,9 @@ from .iso import automorphism_generators, canonical_code
 
 MAX_DEGREE = 16
 MAX_CLOSURE_LEGS = 16
+# Each star multiset is one term of Z (or none, for an odd leg count), and
+# ``log`` of a 100-term Z takes seconds: 2.6 s for quartic Z to degree 396.
+MAX_STAR_MULTISETS = 100
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,49 @@ def closure_orbits(piece: Diagram):
         pairs = instantiate(nodes, graph)
         yield (Diagram(piece.vertices, piece.pairs | pairs, piece.root_pairs),
                (len(seen) - before) * fill // ways)
+
+
+def push_forward(table: ColourTable, *, max_degree: int,
+                 root: Diagram | None = None):
+    """The groupoid cardinality of the closed diagrams over each star
+    multiset of degree at most ``max_degree``, with no census.
+
+    The closed diagrams containing the marked ``root`` and the stars
+    ((entry, n), ...) are the action groupoid of Aut(mark_root(root)) times
+    each colour's S_n wreath Aut(star) on the (L-1)!! perfect matchings of
+    their L legs: an isomorphism of two closures restricts to an
+    automorphism of the piece.  So the sum of 1/|Aut| over the classes is
+    (L-1)!! / (|Aut mark_root(root)| * prod n! |Aut star|^n), and this yields
+    each multiset whose L is even with that Fraction.  One canonical search
+    per colour and one on the marked root find the orders.
+
+    Past ``MAX_STAR_MULTISETS`` multisets the walk raises
+    :class:`DiagramError`; it bounds the terms of ``Z`` and the walk alike.
+    No closure is formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` do not
+    apply.  A root with a bare edge fails as in the census.
+    """
+    if max_degree < 0:
+        raise DiagramError("max_degree must be nonnegative")
+    piece = EMPTY if root is None else mark_root(root)
+    root_aut = 1 if root is None else canonical_code(piece).aut_order
+    star_aut: dict[str, int] = {}
+    walked = 0
+    for stars in _star_multisets(table.ordinary(),
+                                 max_degree - degree(piece)):
+        walked += 1
+        if walked > MAX_STAR_MULTISETS:
+            raise DiagramError(
+                f"max_degree {max_degree} takes more than"
+                f" {MAX_STAR_MULTISETS} star multisets")
+        legs = len(piece.legs) + sum(e.valence * n for e, n in stars)
+        if legs % 2:
+            continue
+        order = root_aut
+        for e, n in stars:
+            if e.name not in star_aut:
+                star_aut[e.name] = canonical_code(star_for(e)).aut_order
+            order *= factorial(n) * star_aut[e.name] ** n
+        yield stars, Fraction(prod(range(legs - 1, 0, -2)), order)
 
 
 def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):

@@ -12,6 +12,17 @@ class contributes one monomial (a factor per ordinary vertex, graded by
 valence) divided by the order of its automorphism group.  The partition
 series sums closed diagrams, the free energy sums connected ones, and
 rooted variants sum diagrams around a marked piece.
+
+These table series are push-forwards and enumerate no class: each star
+multiset contributes its monomial times the groupoid cardinality that
+:func:`fdcalc.generate.push_forward` counts, (L-1)!! matchings of its L legs
+over the order of the stars' and the root's symmetry group.  The partition
+series ``Z`` is that sum, the free energy is ``log Z``, and the reduced
+rooted series is the rooted one over ``Z``.  The census bounds
+(``MAX_DEGREE``, and the 16-leg bound on closures) do not apply;
+``MAX_STAR_MULTISETS`` does, and fails before any ``log``.  The census
+stays the oracle: ``groupoid_integral`` over ``enumerate_closed`` gives the
+same series.
 """
 from __future__ import annotations
 
@@ -21,7 +32,7 @@ from math import factorial
 
 from .colours import ColourTable
 from .diagram import Diagram, DiagramError
-from .generate import DiagramClass, enumerate_closed
+from .generate import DiagramClass, push_forward
 
 DEFAULT_DEGREE = 12
 
@@ -280,17 +291,27 @@ def groupoid_integral(classes: list[DiagramClass], table: ColourTable,
     return MultiSeries(acc, max_degree)
 
 
+def _push_forward_series(table: ColourTable, max_degree: int,
+                         root: Diagram | None = None) -> MultiSeries:
+    """``Z``, or the rooted series around ``root``: one term per star
+    multiset, weighted by :func:`fdcalc.generate.push_forward`."""
+    terms = list(push_forward(table, max_degree=max_degree, root=root))
+    head = () if root is None else diagram_monomial(root, table)
+    return MultiSeries({_mono_mul(head, tuple((variable_for(table, e.name), n)
+                                              for e, n in stars)): w
+                        for stars, w in terms}, max_degree)
+
+
 def partition_series(table: ColourTable,
                      max_degree: int = DEFAULT_DEGREE) -> MultiSeries:
     """Closed-diagram generating series; constant term 1 for the empty one."""
-    classes = enumerate_closed(table, max_degree=max_degree)
-    return groupoid_integral(classes, table, max_degree)
+    return _push_forward_series(table, max_degree)
 
 
 def free_energy_series(table: ColourTable,
                        max_degree: int = DEFAULT_DEGREE) -> MultiSeries:
-    classes = enumerate_closed(table, max_degree=max_degree, connected=True)
-    return groupoid_integral(classes, table, max_degree)
+    """Connected closed-diagram generating series, ``log Z``."""
+    return partition_series(table, max_degree).log()
 
 
 def rooted_series(table: ColourTable, root: Diagram,
@@ -299,8 +320,10 @@ def rooted_series(table: ColourTable, root: Diagram,
     """Generating series of closed diagrams containing the marked ``root``.
 
     The grading counts ordinary vertices only, so a special root contributes
-    no variables.  With ``reduced`` every component must touch the root.
+    no variables.  With ``reduced`` every component must touch the root: a
+    closed diagram splits into the components that touch the root and a
+    closed diagram that does not, so the reduced series is the full one
+    over ``Z``.
     """
-    classes = enumerate_closed(table, max_degree=max_degree, root=root,
-                               reduced=reduced)
-    return groupoid_integral(classes, table, max_degree)
+    full = _push_forward_series(table, max_degree, root)
+    return full / partition_series(table, max_degree) if reduced else full

@@ -20,16 +20,17 @@ from fdcalc.dsl import format_table, parse_diagram
 from fdcalc.gaussian import (GaussianSpec, frt_check, poly_average,
                              quadrature_average, taylor_stars)
 from fdcalc.generate import enumerate_closed
-from fdcalc.iso import aut_order_bruteforce, canonical_code
+from fdcalc.iso import canonical_code
 from fdcalc.poly import Poly
 from fdcalc.prop import edge_pairings
-from fdcalc.series import (free_energy_series, partition_series,
-                           rooted_series, variable_for)
+from fdcalc.series import (free_energy_series, groupoid_integral,
+                           partition_series, rooted_series, variable_for)
 from fdcalc.cli import main as cli_main
 
 import io
 from contextlib import redirect_stdout
 
+from bruteforce import aut_order_bruteforce
 from util import (coupon_table, cubic_table, cyclic_table, figure_eight,
                   mixed_table, quartic_table, random_diagram, run_python)
 
@@ -76,12 +77,14 @@ def test_02_pairing_counts_follow_double_factorials():
 
 
 def test_03_partition_function_is_exp_of_free_energy():
+    # F from the census of connected classes, Z from the orbit count.
     for maker in (quartic_table, cubic_table, mixed_table):
         table = maker()
         z = partition_series(table, 12)
-        f = free_energy_series(table, 12)
+        f = groupoid_integral(
+            enumerate_closed(table, max_degree=12, connected=True), table, 12)
         assert f.exp() == z
-        assert z.log() == f
+        assert z.log() == f == free_energy_series(table, 12)
     qt = quartic_table()
     z = partition_series(qt, 12)
     x = variable_for(qt, "phi4")
@@ -219,6 +222,9 @@ def test_08_reduced_series_times_z_is_full_series():
     reduced = rooted_series(qt, star, 8, reduced=True)
     z = partition_series(qt, 8)
     assert reduced * z == full
+    # The census of reduced classes, against the push-forward over Z.
+    assert reduced == groupoid_integral(
+        enumerate_closed(qt, max_degree=8, root=star, reduced=True), qt, 8)
     assert full.coefficient(()) == F(1, 8)
     assert reduced.coefficient(()) == F(1, 8)
 

@@ -2,15 +2,19 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from fdcalc import verify
 from fdcalc.cli import main
 from fdcalc.dsl import format_table, parse_diagram
 from fdcalc.generate import enumerate_closed
 from fdcalc.iso import canonical_code
+from fdcalc.series import MultiSeries, format_monomial, sorted_terms
 
+from test_series import orbit_count_z
 from util import (coupon_table, cubic_table, cyclic_table, mixed_table,
                   quartic_table, run_python)
 
@@ -187,6 +191,55 @@ def test_verify_expfz_shows_vanishing_difference(files):
                     "--max-degree", "8", "--format", "json"])
     data = json.loads(js)
     assert data["ok"] is True and data["name"] == "expfz"
+
+
+def test_verify_expfz_runs_the_census(files, monkeypatch):
+    # F comes from the census and Z from the orbit count, so a census that
+    # loses a class shows as a nonzero difference.
+    def one_short(*args, **kwargs):
+        return enumerate_closed(*args, **kwargs)[:-1]
+
+    monkeypatch.setattr(verify, "enumerate_closed", one_short)
+    rc, out, _ = run(["verify", "expfz", "--table", files["quartic.tbl"],
+                      "--max-degree", "8"])
+    assert rc == 1
+    assert out.splitlines()[-1] == "FAIL"
+    assert "exp(F) - Z\t0" not in out.splitlines()
+
+
+def _timed_cli(*argv: str):
+    start = time.perf_counter()
+    done = run_python("-m", "fdcalc.cli", *argv)
+    return done, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("command,of_z", [("partition", lambda z: z),
+                                          ("free-energy", MultiSeries.log)],
+                         ids=["partition", "free-energy"])
+def test_table_series_need_no_census(files, command, of_z):
+    # The orbit count builds Z without enumerating, past the census's
+    # degree bound of 16.
+    for degree in (17, 40):
+        done, wall = _timed_cli(command, "--table", files["quartic.tbl"],
+                                "--max-degree", str(degree))
+        want = of_z(orbit_count_z(quartic_table(), degree))
+        assert (done.returncode, done.stderr) == (0, ""), degree
+        assert done.stdout == "".join(f"{format_monomial(m)}\t{c}\n"
+                                      for m, c in sorted_terms(want))
+        assert wall < 1, (degree, wall)
+
+
+@pytest.mark.parametrize("command", ["partition", "free-energy"])
+def test_table_series_refuse_fast(files, command):
+    done, wall = _timed_cli(command, "--table", files["quartic.tbl"],
+                            "--max-degree", str(10 ** 6))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "100 star" in done.stderr
+    assert wall < 1
+    done, _ = _timed_cli(command, "--table", files["quartic.tbl"],
+                         "--max-degree", "-1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: max_degree must be nonnegative\n"
 
 
 @pytest.mark.parametrize("check", ["wick", "taylor", "fubini", "expfz",

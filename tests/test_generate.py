@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 from fractions import Fraction
 from math import factorial
 
@@ -10,9 +9,10 @@ from fdcalc.diagram import (
     Diagram, DiagramError, EMPTY, Vertex, bare_edge, connected_components,
     cyclic_star, degree, disjoint_union, mark_root, star_for, symmetric_star,
 )
+from fdcalc.dsl import format_table
 from fdcalc.generate import (
-    DiagramClass, _star_multisets, closure_orbits, enumerate_closed,
-    leg_nodes, multigraphs,
+    MAX_STAR_MULTISETS, DiagramClass, _star_multisets, closure_orbits,
+    enumerate_closed, leg_nodes, multigraphs, push_forward,
 )
 from fdcalc.iso import are_isomorphic, canonical_code
 from util import (
@@ -227,12 +227,43 @@ def six_special_psi3_stars() -> Diagram:
 
 
 def test_rooted_census_refuses_too_many_legs():
-    # Without the bound the walk would keep up to 17!! multigraphs.
-    start = time.perf_counter()
-    with pytest.raises(DiagramError, match="at most 16 legs"):
-        enumerate_closed(cyclic_table(), max_degree=0,
-                         root=six_special_psi3_stars())
-    assert time.perf_counter() - start < 1
+    # Without the bound the walk would keep up to 17!! multigraphs.  In a
+    # child interpreter, so that a hang fails at run_python's timeout.
+    done = run_python("-c", """
+import sys, time
+from fdcalc import (DiagramError, cyclic_star, disjoint_union,
+                    enumerate_closed, parse_table)
+root = cyclic_star("PSI3", 3, special=True)
+for _ in range(5):
+    root = disjoint_union(root, cyclic_star("PSI3", 3, special=True))
+start = time.perf_counter()
+try:
+    enumerate_closed(parse_table(sys.argv[1]), max_degree=0, root=root)
+except DiagramError as exc:
+    print(exc)
+print(time.perf_counter() - start < 1)
+""", format_table(cyclic_table()))
+    assert (done.returncode, done.stdout) == (
+        0, "closures take at most 16 legs, not 18\nTrue\n")
+
+
+def test_push_forward_forms_no_closure():
+    # The orbit count of the six-star root's 17!! matchings needs no walk,
+    # so neither the 16-leg bound nor the degree bound stands in its way.
+    assert list(push_forward(cyclic_table(), max_degree=0,
+                             root=six_special_psi3_stars())) == [
+        ((), Fraction(17 * 15 * 13 * 11 * 9 * 7 * 5 * 3,
+                      factorial(6) * 3 ** 6))]
+    assert len(list(push_forward(quartic_table(), max_degree=40))) == 11
+
+
+def test_push_forward_bounds_its_walk():
+    # An odd root on even stars has no term at all; the walk still ends.
+    with pytest.raises(DiagramError, match=f"{MAX_STAR_MULTISETS} star"):
+        list(push_forward(quartic_table(), max_degree=10 ** 6,
+                          root=symmetric_star("PHI3", 3, special=True)))
+    with pytest.raises(DiagramError, match="must be nonnegative"):
+        list(push_forward(quartic_table(), max_degree=-1))
 
 
 def test_rooted_census_refuses_an_eighteen_leg_special_star():

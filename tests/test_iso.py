@@ -9,9 +9,10 @@ from fdcalc.diagram import (
     disjoint_union, mark_root, relabel, symmetric_star,
 )
 from fdcalc.generate import enumerate_closed
-from fdcalc.iso import are_isomorphic, aut_order, aut_order_bruteforce, canonical_code
+from fdcalc.iso import are_isomorphic, aut_order, canonical_code
 
 import util
+from bruteforce import aut_order_bruteforce
 
 
 # Frozen expected orders; each was computed by hand from the symmetry

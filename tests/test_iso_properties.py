@@ -14,10 +14,11 @@ from fdcalc.diagram import (
     Diagram, DiagramError, TypedDiagram, Vertex, next_id, relabel,
     relabel_typed,
 )
-from fdcalc.iso import aut_order, aut_order_bruteforce, canonical_code
+from fdcalc.iso import aut_order, canonical_code
 from fdcalc.prop import compose, identity, tensor
 
 import util
+from bruteforce import aut_order_bruteforce
 from test_iso import _bruteforce_iso
 
 # Keeps the brute-force oracles fast.

@@ -127,7 +127,7 @@ PUBLIC = [
     "Diagram", "DiagramClass", "DiagramError", "GaussianError",
     "GaussianSpec", "MultiSeries", "ParseError", "Poly", "TypedDiagram",
     "VariableKey", "Vertex", "amplitude", "amplitude_coloured",
-    "are_isomorphic", "aut_order_bruteforce", "average_with_potential",
+    "are_isomorphic", "average_with_potential",
     "bare_edge", "braiding", "build_diagram", "canonical_code", "closures",
     "colouring_covering", "compose", "connected_components", "coupon_star",
     "covering_report", "cut_covering", "cyclic_star", "degree",

@@ -12,13 +12,13 @@ from fdcalc.diagram import (
 )
 from fdcalc.generate import MAX_CLOSURE_LEGS, closure_orbits
 from fdcalc.iso import (
-    aut_order, aut_order_bruteforce, are_isomorphic, automorphism_generators,
-    canonical_code,
+    aut_order, are_isomorphic, automorphism_generators, canonical_code,
 )
 from fdcalc.prop import (
     braiding, closures, compose, edge_pairings, identity, tensor,
 )
 from test_iso_properties import diagrams
+from bruteforce import aut_order_bruteforce
 from util import figure_eight, random_typed
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcalc.diagram import disjoint_union, symmetric_star
+from fdcalc.diagram import (
+    Diagram, DiagramError, Vertex, bare_edge, disjoint_union, star_for,
+    symmetric_star,
+)
 from fdcalc.generate import enumerate_closed
 from fdcalc.series import (
     MultiSeries, VariableKey, diagram_monomial, free_energy_series,
@@ -262,11 +265,72 @@ def orbit_count_z(table, max_degree):
     return MultiSeries(coeffs, max_degree)
 
 
+def census_series(table, max_degree, **kwargs):
+    """The census side: the groupoid integral over enumerated classes."""
+    classes = enumerate_closed(table, max_degree=max_degree, **kwargs)
+    return groupoid_integral(classes, table, max_degree)
+
+
 @pytest.mark.parametrize("table,max_degree", [
     (quartic_table(), 16), (cubic_table(), 12), (mixed_table(), 14),
     (cyclic_table(), 12), (coupon_table(), 10),
 ], ids=["quartic16", "cubic12", "mixed14", "cyclic12", "coupon10"])
 def test_census_series_match_orbit_count(table, max_degree):
     z = orbit_count_z(table, max_degree)
+    assert census_series(table, max_degree) == z
+    assert census_series(table, max_degree, connected=True) == z.log()
     assert partition_series(table, max_degree) == z
     assert free_energy_series(table, max_degree) == z.log()
+
+
+def _coupon_with_edge(colour, special):
+    return Diagram((Vertex("coupon", colour, (0, 1, 2, 3), n_in=2,
+                           special=special),), frozenset({(0, 2)}))
+
+
+def _rooted_cases():
+    """Every ordinary colour of the five tables as an ordinary and as a
+    special root at degree 8, and roots with internal edges at 10-11."""
+    for name, table in (("quartic", quartic_table()),
+                        ("cubic", cubic_table()), ("mixed", mixed_table()),
+                        ("cyclic", cyclic_table()),
+                        ("coupon", coupon_table())):
+        for entry in table.ordinary():
+            for e in (entry, table[entry.bold]):
+                yield pytest.param(table, star_for(e), 8,
+                                   id=f"{name}-{e.name}")
+    loop = Diagram((Vertex("symmetric", "PHI4", (0, 1, 2, 3), special=True),),
+                   frozenset({(0, 1)}))
+    yield pytest.param(quartic_table(), loop, 10, id="quartic-PHI4-loop")
+    yield pytest.param(cubic_table(), Diagram(
+        (Vertex("symmetric", "PHI3", (0, 1, 2), special=True),),
+        frozenset({(0, 1)})), 11, id="cubic-PHI3-loop")
+    yield pytest.param(mixed_table(), Diagram(
+        (Vertex("symmetric", "phi3", (0, 1, 2)),
+         Vertex("symmetric", "phi4", (3, 4, 5, 6))),
+        frozenset({(0, 3)})), 11, id="mixed-phi3-phi4-edge")
+    yield pytest.param(cyclic_table(), Diagram(
+        (Vertex("cyclic", "PSI3", (0, 1, 2), special=True),
+         Vertex("cyclic", "PSI3", (3, 4, 5), special=True)),
+        frozenset({(0, 3)})), 10, id="cyclic-PSI3-PSI3-edge")
+    yield pytest.param(coupon_table(), _coupon_with_edge("T22", True), 11,
+                       id="coupon-T22-edge")
+    yield pytest.param(coupon_table(), _coupon_with_edge("t22", False), 10,
+                       id="coupon-t22-edge")
+
+
+@pytest.mark.parametrize("table,root,max_degree", _rooted_cases())
+def test_rooted_push_forward_matches_census(table, root, max_degree):
+    full = census_series(table, max_degree, root=root)
+    assert full.coeffs
+    assert rooted_series(table, root, max_degree) == full
+    assert rooted_series(table, root, max_degree, reduced=True) == (
+        census_series(table, max_degree, root=root, reduced=True))
+
+
+def test_rooted_series_keep_the_census_refusal_of_a_bare_edge():
+    root = disjoint_union(symmetric_star("PHI4", 4, special=True), bare_edge())
+    with pytest.raises(DiagramError, match="roots with bare edges"):
+        rooted_series(quartic_table(), root, 8)
+    with pytest.raises(DiagramError, match="roots with bare edges"):
+        enumerate_closed(quartic_table(), max_degree=8, root=root)
