@@ -38,7 +38,8 @@ cardinality is the number of matchings over the group order, so
 :func:`push_forward` walks the same star multisets and yields that number
 for each from one canonical search per colour and one on the marked root.
 No closure is formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` bound only
-the census; the walk stops instead after ``MAX_STAR_MULTISETS`` multisets.
+the census.  A degree the census accepts is never refused; past it, the walk
+stops after ``MAX_STAR_MULTISETS`` multisets.
 """
 from __future__ import annotations
 
@@ -58,6 +59,7 @@ MAX_DEGREE = 16
 MAX_CLOSURE_LEGS = 16
 # Each star multiset is one term of Z (or none, for an odd leg count), and
 # ``log`` of a 100-term Z takes seconds: 2.6 s for quartic Z to degree 396.
+# The bound binds only past MAX_DEGREE, where the census would refuse.
 MAX_STAR_MULTISETS = 100
 
 
@@ -188,10 +190,12 @@ def push_forward(table: ColourTable, *, max_degree: int,
     each multiset whose L is even with that Fraction.  One canonical search
     per colour and one on the marked root find the orders.
 
-    Past ``MAX_STAR_MULTISETS`` multisets the walk raises
-    :class:`DiagramError`; it bounds the terms of ``Z`` and the walk alike.
     No closure is formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` do not
-    apply.  A root with a bare edge fails as in the census.
+    apply.  Past ``MAX_DEGREE``, where the census would refuse, the walk
+    raises :class:`DiagramError` after ``MAX_STAR_MULTISETS`` multisets; it
+    bounds the terms of ``Z`` and the walk alike.  Within ``MAX_DEGREE`` the
+    walk is finite and always runs to the end, however many colours the
+    table has.  A root with a bare edge fails as in the census.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
@@ -202,7 +206,7 @@ def push_forward(table: ColourTable, *, max_degree: int,
     for stars in _star_multisets(table.ordinary(),
                                  max_degree - degree(piece)):
         walked += 1
-        if walked > MAX_STAR_MULTISETS:
+        if walked > MAX_STAR_MULTISETS and max_degree > MAX_DEGREE:
             raise DiagramError(
                 f"max_degree {max_degree} takes more than"
                 f" {MAX_STAR_MULTISETS} star multisets")

@@ -19,8 +19,9 @@ multiset contributes its monomial times the groupoid cardinality that
 over the order of the stars' and the root's symmetry group.  The partition
 series ``Z`` is that sum, the free energy is ``log Z``, and the reduced
 rooted series is the rooted one over ``Z``.  The census bounds
-(``MAX_DEGREE``, and the 16-leg bound on closures) do not apply;
-``MAX_STAR_MULTISETS`` does, and fails before any ``log``.  The census
+(``MAX_DEGREE``, and the 16-leg bound on closures) do not apply: every
+degree the census accepts is computed, and past ``MAX_DEGREE`` the walk
+stops after ``MAX_STAR_MULTISETS`` multisets, before any ``log``.  The census
 stays the oracle: ``groupoid_integral`` over ``enumerate_closed`` gives the
 same series.
 """

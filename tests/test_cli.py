@@ -12,11 +12,12 @@ from fdcalc.cli import main
 from fdcalc.dsl import format_table, parse_diagram
 from fdcalc.generate import enumerate_closed
 from fdcalc.iso import canonical_code
-from fdcalc.series import MultiSeries, format_monomial, sorted_terms
+from fdcalc.series import (MultiSeries, format_monomial, partition_series,
+                           sorted_terms)
 
-from test_series import orbit_count_z
-from util import (coupon_table, cubic_table, cyclic_table, mixed_table,
-                  quartic_table, run_python)
+from test_series import census_series, orbit_count_z
+from util import (coupon_table, cubic_table, cyclic_table, low_valence_table,
+                  mixed_table, quartic_table, run_python)
 
 THETA_SRC = """
 vertex a sym phi3 legs 3;
@@ -207,10 +208,8 @@ def test_verify_expfz_runs_the_census(files, monkeypatch):
     assert "exp(F) - Z\t0" not in out.splitlines()
 
 
-def _timed_cli(*argv: str):
-    start = time.perf_counter()
-    done = run_python("-m", "fdcalc.cli", *argv)
-    return done, time.perf_counter() - start
+def _series_out(s: MultiSeries) -> str:
+    return "".join(f"{format_monomial(m)}\t{c}\n" for m, c in sorted_terms(s))
 
 
 @pytest.mark.parametrize("command,of_z", [("partition", lambda z: z),
@@ -218,28 +217,51 @@ def _timed_cli(*argv: str):
                          ids=["partition", "free-energy"])
 def test_table_series_need_no_census(files, command, of_z):
     # The orbit count builds Z without enumerating, past the census's
-    # degree bound of 16.
+    # degree bound of 16.  The child's timeout guards against a hang; the
+    # in-process computation is what is timed.
     for degree in (17, 40):
-        done, wall = _timed_cli(command, "--table", files["quartic.tbl"],
-                                "--max-degree", str(degree))
+        done = run_python("-m", "fdcalc.cli", command, "--table",
+                          files["quartic.tbl"], "--max-degree", str(degree))
         want = of_z(orbit_count_z(quartic_table(), degree))
         assert (done.returncode, done.stderr) == (0, ""), degree
-        assert done.stdout == "".join(f"{format_monomial(m)}\t{c}\n"
-                                      for m, c in sorted_terms(want))
-        assert wall < 1, (degree, wall)
+        assert done.stdout == _series_out(want)
+    start = time.perf_counter()
+    of_z(partition_series(quartic_table(), 40))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("command", ["partition", "free-energy"])
 def test_table_series_refuse_fast(files, command):
-    done, wall = _timed_cli(command, "--table", files["quartic.tbl"],
-                            "--max-degree", str(10 ** 6))
+    done = run_python("-m", "fdcalc.cli", command, "--table",
+                      files["quartic.tbl"], "--max-degree", str(10 ** 6))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ") and "100 star" in done.stderr
-    assert wall < 1
-    done, _ = _timed_cli(command, "--table", files["quartic.tbl"],
-                         "--max-degree", "-1")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="100 star"):
+        partition_series(quartic_table(), 10 ** 6)
+    assert time.perf_counter() - start < 1
+    done = run_python("-m", "fdcalc.cli", command, "--table",
+                      files["quartic.tbl"], "--max-degree", "-1")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: max_degree must be nonnegative\n"
+
+
+def test_table_series_keep_every_census_degree(tmp_path):
+    # Colours of valence 1-4 walk more star multisets at degree 11 than the
+    # bound past degree 16 allows; the census accepts the degree, and so do
+    # the table series and both sides of verify expfz.
+    table = low_valence_table()
+    path = tmp_path / "low.tbl"
+    path.write_text(format_table(table))
+    for command, census in (
+            ("partition", census_series(table, 11)),
+            ("free-energy", census_series(table, 11, connected=True))):
+        assert run([command, "--table", str(path), "--max-degree", "11"]) == (
+            0, _series_out(census), "")
+    rc, out, err = run(["verify", "expfz", "--table", str(path),
+                        "--max-degree", "11"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS"
 
 
 @pytest.mark.parametrize("check", ["wick", "taylor", "fubini", "expfz",

@@ -11,13 +11,14 @@ from fdcalc.diagram import (
     Diagram, DiagramError, Vertex, bare_edge, disjoint_union, star_for,
     symmetric_star,
 )
-from fdcalc.generate import enumerate_closed
+from fdcalc.generate import MAX_STAR_MULTISETS, enumerate_closed
 from fdcalc.series import (
     MultiSeries, VariableKey, diagram_monomial, free_energy_series,
     groupoid_integral, partition_series, rooted_series, variable_for,
 )
 from util import (
-    coupon_table, cubic_table, cyclic_table, mixed_table, quartic_table,
+    coupon_table, cubic_table, cyclic_table, low_valence_table, mixed_table,
+    quartic_table,
 )
 
 X = VariableKey("phi4", 4)
@@ -281,6 +282,24 @@ def test_census_series_match_orbit_count(table, max_degree):
     assert census_series(table, max_degree, connected=True) == z.log()
     assert partition_series(table, max_degree) == z
     assert free_energy_series(table, max_degree) == z.log()
+
+
+def test_push_forward_keeps_every_census_degree():
+    # Colours of valence 1-4 walk more than MAX_STAR_MULTISETS star
+    # multisets at degree 11, which the census accepts; so do the series.
+    table, degree = low_valence_table(), 11
+    walked = sum(1 for counts in itertools.product(
+        *(range(degree // k + 1) for k in (1, 2, 3, 4)))
+        if sum(k * n for k, n in zip((1, 2, 3, 4), counts)) <= degree)
+    assert walked > MAX_STAR_MULTISETS
+    z = census_series(table, degree)
+    assert z == orbit_count_z(table, degree)
+    assert partition_series(table, degree) == z
+    assert free_energy_series(table, degree) == census_series(
+        table, degree, connected=True)
+    root = star_for(table["S2"])
+    assert rooted_series(table, root, degree) == census_series(
+        table, degree, root=root)
 
 
 def _coupon_with_edge(colour, special):

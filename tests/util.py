@@ -65,6 +65,16 @@ def coupon_table() -> ColourTable:
     ])
 
 
+def low_valence_table() -> ColourTable:
+    """Ordinary colours of valence 1, 2, 3 and 4: many star multisets at a
+    low degree (121 at degree 11)."""
+    return ColourTable([
+        e for k in (1, 2, 3, 4)
+        for e in (ColourEntry(f"S{k}", "symmetric", k, special=True),
+                  ColourEntry(f"s{k}", "symmetric", k, bold=f"S{k}"))
+    ])
+
+
 def figure_eight(colour: str = "phi4", special: bool = False) -> Diagram:
     return Diagram((Vertex("symmetric", colour, (0, 1, 2, 3), special=special),),
                    frozenset({(0, 1), (2, 3)}))
