@@ -37,13 +37,14 @@ from .colours import (
     partner_name,
 )
 from .diagram import (
-    Diagram, DiagramError, EdgeColouring, TypedDiagram, mark_root, star_for,
+    Diagram, DiagramError, EdgeColouring, TypedDiagram, degree, mark_root,
+    star_for,
 )
-from .generate import closure_orbits, enumerate_closed
+from .generate import MAX_DEGREE, closure_orbits, star_bases, union_order
 from .iso import aut_order
 from .poly import Poly, integer_form, invert_exact, is_exact
 from .series import (
-    DEFAULT_DEGREE, MultiSeries, VariableKey, groupoid_integral, variable_for,
+    DEFAULT_DEGREE, MultiSeries, VariableKey, diagram_monomial, variable_for,
 )
 
 SYMMETRY_TOL = 1e-10
@@ -499,26 +500,33 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
                       max_degree: int = DEFAULT_DEGREE) -> MultiSeries:
     """Sum of closed-diagram amplitudes around ``g``, weighted by 1/|Aut|.
 
-    Without the potential the sum runs over the closures of ``g`` alone and
-    the series is constant; with it, over all closed diagrams of bounded
-    degree containing ``g`` as the marked piece.  The closures of the marked
-    piece are one per orbit of its automorphisms, and each orbit is a class:
-    an isomorphism of two closures keeps the marked piece, so it restricts
-    to an automorphism of it.  An odd number of legs leaves nothing to sum
-    in the constant case, so the result is 0 rather than an error.  A
-    negative ``max_degree`` raises :class:`DiagramError` either way, and so
-    does a piece that :func:`fdcalc.generate.closure_orbits` refuses.
+    The sum runs over the closures of each base: the marked ``g`` plus each
+    multiset of stars within ``max_degree`` with the potential, or ``g``
+    alone, into the constant term, without it.  An isomorphism of two
+    closures keeps the marked piece, so each orbit of Aut(base) on the leg
+    pairings is a class and weighs its pairings over |Aut base|.  An odd leg
+    count gives 0.  A negative ``max_degree``, a base that
+    :func:`fdcalc.generate.closure_orbits` refuses and, with the potential,
+    a degree the census refuses raise :class:`DiagramError`.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
-    if with_potential:
-        classes = enumerate_closed(a.table, max_degree=max_degree, root=g)
-        return groupoid_integral(classes, a.table, max_degree,
-                                 weight=lambda rep: amplitude(rep, a))
-    total = Fraction(0)
-    for rep, _ in closure_orbits(mark_root(g)):
-        total += Fraction(amplitude(rep, a)) / aut_order(rep)
-    return MultiSeries.constant(total, max_degree)
+    if with_potential and max_degree > MAX_DEGREE:
+        raise DiagramError(
+            f"max_degree {max_degree} exceeds the supported bound {MAX_DEGREE}")
+    piece = mark_root(g)
+    budget = max_degree - degree(piece) if with_potential else 0
+    # Walk every base first: a refused base fails before a missing tensor.
+    bases = [(stars, base, list(closure_orbits(base)))
+             for stars, base in star_bases(piece, a.table, budget)]
+    order = union_order(piece)
+    acc = {}
+    for stars, base, orbits in bases:
+        total = sum(Fraction(amplitude(rep, a)) * ways for rep, ways in orbits)
+        if total:
+            m = diagram_monomial(base, a.table) if with_potential else ()
+            acc[m] = total / order(stars)
+    return MultiSeries(acc, max_degree)
 
 
 # -- edge colourings ----------------------------------------------------------

@@ -26,26 +26,27 @@ walks the multigraphs in that order; the first one of each orbit floods the
 orbit under the generators that :func:`fdcalc.iso.automorphism_generators`
 returns, and it alone is instantiated, with the number of matchings its
 orbit stands for.  The census filters and canonicalises these closures,
-:func:`fdcalc.prop.closures` sums their matching counts by class, and
-:func:`fdcalc.algebra.expectation_value` sums over them directly.  The
+and :func:`fdcalc.prop.closures` sums their matching counts by class.  The
 engine alone decides whether a piece can be closed: an odd leg count closes
 to nothing, and more than ``MAX_CLOSURE_LEGS`` legs or a bare edge raise
 :class:`DiagramError`, for every caller, a rooted census included.
 
-The series need no census.  The closed diagrams over one star multiset form
-the action groupoid of the piece's automorphisms on the leg matchings, whose
-cardinality is the number of matchings over the group order, so
-:func:`push_forward` walks the same star multisets and yields that number
-for each from one canonical search per colour and one on the marked root.
-No closure is formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` bound only
-the census.  A degree the census accepts is never refused; past it, the walk
-stops after ``MAX_STAR_MULTISETS`` multisets.
+Sums over the classes need no census.  The closed diagrams over one star
+multiset are the action groupoid of Aut(base), the marked root plus the
+stars, on the leg matchings; a matching's stabiliser is its closure's
+automorphism group, so each orbit weighs its matchings over |Aut(base)|,
+which :func:`union_order` reads off one search per colour and one on the
+root.  :func:`fdcalc.algebra.expectation_value` weighs each orbit of
+:func:`star_bases` by its amplitude.  :func:`push_forward` yields whole
+cardinalities and forms no closure, so no census bound applies; past
+``MAX_DEGREE`` it stops after ``MAX_STAR_MULTISETS`` multisets.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from math import factorial, prod
 
 from .colours import ColourEntry, ColourTable
@@ -98,11 +99,7 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
     piece = EMPTY if root is None else mark_root(root)
     budget = max_degree - degree(piece)
     found: list[DiagramClass] = []
-    for stars in _star_multisets(table.ordinary(), budget):
-        base = piece
-        for entry, count in stars:
-            for _ in range(count):
-                base = disjoint_union(base, star_for(entry))
+    for _, base in star_bases(piece, table, budget):
         for d, _ in closure_orbits(base):
             if connected and len(connected_components(d)) != 1:
                 continue
@@ -182,26 +179,20 @@ def push_forward(table: ColourTable, *, max_degree: int,
     multiset of degree at most ``max_degree``, with no census.
 
     The closed diagrams containing the marked ``root`` and the stars
-    ((entry, n), ...) are the action groupoid of Aut(mark_root(root)) times
-    each colour's S_n wreath Aut(star) on the (L-1)!! perfect matchings of
-    their L legs: an isomorphism of two closures restricts to an
-    automorphism of the piece.  So the sum of 1/|Aut| over the classes is
-    (L-1)!! / (|Aut mark_root(root)| * prod n! |Aut star|^n), and this yields
-    each multiset whose L is even with that Fraction.  One canonical search
-    per colour and one on the marked root find the orders.
-
-    No closure is formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` do not
-    apply.  Past ``MAX_DEGREE``, where the census would refuse, the walk
-    raises :class:`DiagramError` after ``MAX_STAR_MULTISETS`` multisets; it
-    bounds the terms of ``Z`` and the walk alike.  Within ``MAX_DEGREE`` the
-    walk is finite and always runs to the end, however many colours the
-    table has.  A root with a bare edge fails as in the census.
+    ((entry, n), ...) are the action groupoid of their automorphisms on the
+    (L-1)!! perfect matchings of their L legs, so this yields each multiset
+    whose L is even with (L-1)!! / :func:`union_order`.  No closure is
+    formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` do not apply.  Past
+    ``MAX_DEGREE``, where the census would refuse, the walk raises
+    :class:`DiagramError` after ``MAX_STAR_MULTISETS`` multisets; it bounds
+    the terms of ``Z`` and the walk alike.  Within ``MAX_DEGREE`` the walk
+    is finite and always runs to the end, however many colours the table
+    has.  A root with a bare edge fails as in the census.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
     piece = EMPTY if root is None else mark_root(root)
-    root_aut = 1 if root is None else canonical_code(piece).aut_order
-    star_aut: dict[str, int] = {}
+    order = union_order(piece)
     walked = 0
     for stars in _star_multisets(table.ordinary(),
                                  max_degree - degree(piece)):
@@ -213,12 +204,27 @@ def push_forward(table: ColourTable, *, max_degree: int,
         legs = len(piece.legs) + sum(e.valence * n for e, n in stars)
         if legs % 2:
             continue
-        order = root_aut
-        for e, n in stars:
-            if e.name not in star_aut:
-                star_aut[e.name] = canonical_code(star_for(e)).aut_order
-            order *= factorial(n) * star_aut[e.name] ** n
-        yield stars, Fraction(prod(range(legs - 1, 0, -2)), order)
+        yield stars, Fraction(prod(range(legs - 1, 0, -2)), order(stars))
+
+
+def union_order(piece: Diagram):
+    """|Aut(piece + stars)| as a function of the stars ((entry, n), ...):
+    |Aut piece| prod n! |Aut star|^n, since the piece's vertices are marked
+    (:func:`fdcalc.diagram.mark_root`) and no automorphism trades them for a
+    star's.  The piece and each colour's star are searched once, at first
+    need; no other diagram is formed."""
+    piece_aut = cache(lambda: canonical_code(piece).aut_order)
+    star_aut = cache(lambda e: canonical_code(star_for(e)).aut_order)
+    return lambda stars: piece_aut() * prod(
+        factorial(n) * star_aut(e) ** n for e, n in stars)
+
+
+def star_bases(piece: Diagram, table: ColourTable, budget: int):
+    """Each multiset of the table's stars within ``budget`` total valence,
+    as ((entry, n), ...) in name order, with ``piece`` plus those stars."""
+    for stars in _star_multisets(table.ordinary(), budget):
+        yield stars, reduce(disjoint_union, (
+            star_for(e) for e, n in stars for _ in range(n)), piece)
 
 
 def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):

@@ -7,23 +7,18 @@ is exact on all monomials of weight at most D and silent above.  Binary
 operations truncate to the smaller of the two bounds; differentiating by a
 variable of grade g costs g degrees of precision.
 
-Diagram counting plugs in via :func:`groupoid_integral`: each isomorphism
-class contributes one monomial (a factor per ordinary vertex, graded by
-valence) divided by the order of its automorphism group.  The partition
-series sums closed diagrams, the free energy sums connected ones, and
-rooted variants sum diagrams around a marked piece.
-
-These table series are push-forwards and enumerate no class: each star
-multiset contributes its monomial times the groupoid cardinality that
-:func:`fdcalc.generate.push_forward` counts, (L-1)!! matchings of its L legs
-over the order of the stars' and the root's symmetry group.  The partition
-series ``Z`` is that sum, the free energy is ``log Z``, and the reduced
-rooted series is the rooted one over ``Z``.  The census bounds
+Diagram sums are push-forwards and enumerate no class: each star multiset
+contributes its monomial (a factor per ordinary vertex, graded by valence)
+times the groupoid cardinality that :func:`fdcalc.generate.push_forward`
+counts, (L-1)!! matchings of its L legs over the order of the stars' and
+the root's symmetry group.  The partition series ``Z`` is that sum, the
+free energy is ``log Z``, the rooted series sums diagrams around a marked
+piece, and the reduced one is the rooted one over ``Z``.  The census bounds
 (``MAX_DEGREE``, and the 16-leg bound on closures) do not apply: every
 degree the census accepts is computed, and past ``MAX_DEGREE`` the walk
-stops after ``MAX_STAR_MULTISETS`` multisets, before any ``log``.  The census
-stays the oracle: ``groupoid_integral`` over ``enumerate_closed`` gives the
-same series.
+stops after ``MAX_STAR_MULTISETS`` multisets, before any ``log``.  The
+census stays the oracle: :func:`groupoid_integral` sums 1/|Aut| over the
+classes of ``enumerate_closed`` and gives the same series.
 """
 from __future__ import annotations
 
@@ -274,21 +269,12 @@ def diagram_monomial(d: Diagram, table: ColourTable) -> Monomial:
 
 
 def groupoid_integral(classes: list[DiagramClass], table: ColourTable,
-                      max_degree: int, weight=None) -> MultiSeries:
-    """Sum of weight(rep)·monomial(class)/|Aut| over the given classes.
-
-    ``weight`` maps a representative to a coefficient and must be constant
-    on isomorphism classes (the caller's promise); omitted it is 1 and the
-    integral counts.  Non-rational weights are embedded exactly, so float
-    weights survive into the series unchanged.
-    """
+                      max_degree: int) -> MultiSeries:
+    """Sum of monomial(class)/|Aut| over the given census classes."""
     acc: dict[Monomial, Fraction] = {}
     for c in classes:
-        w = Fraction(1) if weight is None else Fraction(weight(c.rep))
-        if not w:
-            continue
         m = diagram_monomial(c.rep, table)
-        acc[m] = acc.get(m, Fraction(0)) + w / c.aut
+        acc[m] = acc.get(m, Fraction(0)) + Fraction(1, c.aut)
     return MultiSeries(acc, max_degree)
 
 

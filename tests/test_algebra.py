@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdcalc import iso
 from fdcalc.algebra import (
     AlgebraError, AlgebraSpec, amplitude, amplitude_coloured,
     expectation_value, load_algebra, leg_polynomial, interaction_terms,
@@ -15,17 +16,20 @@ from fdcalc.algebra import (
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (
     Diagram, EMPTY, TypedDiagram, Vertex, bare_edge, connected_components,
-    coupon_star, cyclic_star, expand_colourings, mark_root, relabel_typed,
-    symmetric_star,
+    coupon_star, cyclic_star, degree, disjoint_union, expand_colourings,
+    mark_root, relabel_typed, symmetric_star,
 )
+from fdcalc.generate import enumerate_closed
 from fdcalc.poly import Poly
 from fdcalc.prop import (
     DiagramError, braiding, closures, compose, identity, tensor,
 )
-from fdcalc.series import partition_series, rooted_series
+from fdcalc.series import (
+    MultiSeries, diagram_monomial, partition_series, rooted_series,
+)
 from util import (
-    figure_eight, quartic_table, random_diagram, random_relabelling,
-    random_typed, theta,
+    figure_eight, mixed_table, quartic_table, random_diagram,
+    random_relabelling, random_typed, theta,
 )
 
 EYE2 = [[F(1), F(0)], [F(0), F(1)]]
@@ -541,6 +545,62 @@ def test_expectation_sums_orbits_as_classes(make):
         e = expectation_value(d, a)
         assert e.coefficient(()) == _expectation_by_classes(d, a), d
         seen += 1
+
+
+def _expectation_by_census(g, a, max_degree):
+    """The potential sum as once summed: one term per census class around
+    the marked ``g``, amplitude times monomial over |Aut|."""
+    acc = {}
+    for c in enumerate_closed(a.table, max_degree=max_degree, root=g):
+        m = diagram_monomial(c.rep, a.table)
+        acc[m] = acc.get(m, F(0)) + F(amplitude(c.rep, a)) / c.aut
+    return MultiSeries(acc, max_degree)
+
+
+@pytest.mark.parametrize("make", [rand_algebra, frac_algebra, float_algebra])
+def test_expectation_with_potential_sums_census_classes(make):
+    rng = random.Random(1709)
+    a = make(rng)
+    edged = ordinary = 0
+    for _ in range(40):
+        g = random_diagram(rng, max_vertices=2)
+        max_degree = rng.randint(0, 8)
+        got = expectation_value(g, a, with_potential=True,
+                                max_degree=max_degree)
+        want = _expectation_by_census(g, a, max_degree)
+        assert got == want and str(got) == str(want), (g, max_degree)
+        edged += bool(g.pairs)
+        ordinary += any(not v.special for v in g.vertices)
+    assert edged and ordinary
+    # A root heavier than the bound has no base to close, not the root
+    # alone: closing these 20 legs would be refused.
+    heavy = EMPTY
+    for _ in range(5):
+        heavy = disjoint_union(heavy, symmetric_star("s4", 4))
+    assert degree(heavy) > 3
+    got = expectation_value(heavy, a, with_potential=True, max_degree=3)
+    assert got == _expectation_by_census(heavy, a, 3) == MultiSeries.zero(3)
+    with pytest.raises(DiagramError, match="at most 16 legs, not 20"):
+        expectation_value(heavy, a, max_degree=3)
+
+
+def test_expectation_with_potential_searches_once_per_piece(monkeypatch):
+    table = mixed_table()
+    a = ones_algebra(table, dim=2)
+    search, calls = iso._search, []
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(iso, "_search", counted)
+    expectation_value(EMPTY, a, with_potential=True, max_degree=12)
+    monkeypatch.undo()
+    multisets = sum(1 for n3 in range(5) for n4 in range(4)
+                    if 3 * n3 + 4 * n4 <= 12)
+    classes = len(enumerate_closed(table, max_degree=12))
+    assert len(calls) <= multisets + len(table.ordinary()) + 1
+    assert len(calls) < classes
 
 
 def test_expectation_of_empty_is_partition_series():

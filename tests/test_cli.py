@@ -329,6 +329,20 @@ def test_error_exits(files, tmp_path):
         assert err == "error: max_degree must be nonnegative\n", argv
 
 
+def test_algebra_sums_refuse_the_census_bound(files):
+    star, alg = files["star4.fd"], files["quartic.alg"]
+    for argv in (["partition", "--algebra", alg, "--max-degree", "17"],
+                 ["expect", star, "--algebra", alg, "--potential",
+                  "--max-degree", "17"]):
+        rc, out, err = run(argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == "error: max_degree 17 exceeds the supported bound 16\n"
+    # Without the potential only the piece is closed, at any degree.
+    rc, out, err = run(["expect", star, "--algebra", alg, "--max-degree",
+                        "17"])
+    assert (rc, out, err) == (0, "1\t1/8\n", "")
+
+
 def test_upper_case_colour_loads(files, tmp_path):
     alg = tmp_path / "up.alg"
     alg.write_text(json.dumps({

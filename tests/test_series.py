@@ -228,11 +228,13 @@ def test_reduced_series_factors_off_partition():
 
 def test_weighted_groupoid_integral():
     table = quartic_table()
-    classes = enumerate_closed(table, max_degree=8)
     # weight by vertex count: picks x*d/dx out of the counting integral
-    weighted = groupoid_integral(
-        classes, table, 8,
-        weight=lambda d: sum(1 for v in d.vertices if not v.special))
+    acc = {}
+    for c in enumerate_closed(table, max_degree=8):
+        m = diagram_monomial(c.rep, table)
+        vertices = sum(1 for v in c.rep.vertices if not v.special)
+        acc[m] = acc.get(m, F(0)) + F(vertices, c.aut)
+    weighted = MultiSeries(acc, 8)
     z12 = partition_series(table, 12)
     x = MultiSeries.variable(X, 12)
     assert weighted == x * z12.derivative(X)
