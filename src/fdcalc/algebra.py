@@ -40,7 +40,7 @@ from .diagram import (
     Diagram, DiagramError, EdgeColouring, TypedDiagram, degree, mark_root,
     star_for,
 )
-from .generate import MAX_DEGREE, closure_orbits, star_bases, union_order
+from .generate import closure_orbits, star_bases, union_order
 from .iso import aut_order
 from .poly import Poly, integer_form, invert_exact, is_exact
 from .series import (
@@ -505,24 +505,19 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
     alone, into the constant term, without it.  An isomorphism of two
     closures keeps the marked piece, so each orbit of Aut(base) on the leg
     pairings is a class and weighs its pairings over |Aut base|.  An odd leg
-    count gives 0.  A negative ``max_degree``, a base that
-    :func:`fdcalc.generate.closure_orbits` refuses and, with the potential,
-    a degree the census refuses raise :class:`DiagramError`.
+    count gives 0.  A negative ``max_degree`` raises :class:`DiagramError`,
+    and so does an input that either size rule of :mod:`fdcalc.generate`
+    refuses, before any closure is walked or amplitude taken.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
-    if with_potential and max_degree > MAX_DEGREE:
-        raise DiagramError(
-            f"max_degree {max_degree} exceeds the supported bound {MAX_DEGREE}")
     piece = mark_root(g)
     budget = max_degree - degree(piece) if with_potential else 0
-    # Walk every base first: a refused base fails before a missing tensor.
-    bases = [(stars, base, list(closure_orbits(base)))
-             for stars, base in star_bases(piece, a.table, budget)]
     order = union_order(piece)
     acc = {}
-    for stars, base, orbits in bases:
-        total = sum(Fraction(amplitude(rep, a)) * ways for rep, ways in orbits)
+    for stars, base in star_bases(piece, a.table, budget):
+        total = sum(Fraction(amplitude(rep, a)) * ways
+                    for rep, ways in closure_orbits(base))
         if total:
             m = diagram_monomial(base, a.table) if with_potential else ()
             acc[m] = total / order(stars)
@@ -578,6 +573,7 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
     flat arrays whose entries are numbers or exact "p/q" strings; optional
     ``orthonormalize`` flag.  All-string entries select the exact mode.  A
     colour without ``bold`` gets the partner :func:`partner_name` gives.
+    Every listed colour needs a tensor.
     """
     data = json.loads(src) if isinstance(src, str) else src
     try:
@@ -600,6 +596,9 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
         table = ColourTable(entries)
         tensors = {name: [_parse_number(x) for x in flat]
                    for name, flat in raw_tensors.items()}
+        for c in colours:
+            if c["name"] not in tensors:
+                raise AlgebraError(f"colour {c['name']!r} has no tensor")
     except KeyError as exc:
         raise AlgebraError(f"algebra file lacks field {exc}") from None
     except (TypeError, AttributeError) as exc:

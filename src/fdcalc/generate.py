@@ -26,10 +26,7 @@ walks the multigraphs in that order; the first one of each orbit floods the
 orbit under the generators that :func:`fdcalc.iso.automorphism_generators`
 returns, and it alone is instantiated, with the number of matchings its
 orbit stands for.  The census filters and canonicalises these closures,
-and :func:`fdcalc.prop.closures` sums their matching counts by class.  The
-engine alone decides whether a piece can be closed: an odd leg count closes
-to nothing, and more than ``MAX_CLOSURE_LEGS`` legs or a bare edge raise
-:class:`DiagramError`, for every caller, a rooted census included.
+and :func:`fdcalc.prop.closures` sums their matching counts by class.
 
 Sums over the classes need no census.  The closed diagrams over one star
 multiset are the action groupoid of Aut(base), the marked root plus the
@@ -38,8 +35,14 @@ automorphism group, so each orbit weighs its matchings over |Aut(base)|,
 which :func:`union_order` reads off one search per colour and one on the
 root.  :func:`fdcalc.algebra.expectation_value` weighs each orbit of
 :func:`star_bases` by its amplitude.  :func:`push_forward` yields whole
-cardinalities and forms no closure, so no census bound applies; past
-``MAX_DEGREE`` it stops after ``MAX_STAR_MULTISETS`` multisets.
+cardinalities and forms no closure.
+
+Two size rules hold for every caller, each in one function.  The closing
+rule, in :func:`_closes` and held by :func:`closure_orbits` and
+:func:`star_bases`: a closing takes at most ``MAX_CLOSURE_LEGS`` legs.  The
+walk rule, in :func:`_star_multisets`, the one walk over star multisets
+that every sum shares: past a star budget of ``MAX_CLOSURE_LEGS`` it stops
+after ``MAX_STAR_MULTISETS`` multisets.
 """
 from __future__ import annotations
 
@@ -56,11 +59,9 @@ from .diagram import (
 )
 from .iso import automorphism_generators, canonical_code
 
-MAX_DEGREE = 16
 MAX_CLOSURE_LEGS = 16
 # Each star multiset is one term of Z (or none, for an odd leg count), and
 # ``log`` of a 100-term Z takes seconds: 2.6 s for quartic Z to degree 396.
-# The bound binds only past MAX_DEGREE, where the census would refuse.
 MAX_STAR_MULTISETS = 100
 
 
@@ -93,13 +94,9 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
-    if max_degree > MAX_DEGREE:
-        raise DiagramError(
-            f"max_degree {max_degree} exceeds the supported bound {MAX_DEGREE}")
     piece = EMPTY if root is None else mark_root(root)
-    budget = max_degree - degree(piece)
     found: list[DiagramClass] = []
-    for _, base in star_bases(piece, table, budget):
+    for _, base in star_bases(piece, table, max_degree - degree(piece)):
         for d, _ in closure_orbits(base):
             if connected and len(connected_components(d)) != 1:
                 continue
@@ -126,20 +123,10 @@ def closure_orbits(piece: Diagram):
     pairings, prod c_a! / (prod 2^l_a l_a! * prod m_ab!) over the node
     capacities c_a, loop counts l_a and edge multiplicities m_ab.
 
-    The piece is checked before the walk.  An odd leg count yields nothing.
-    More than ``MAX_CLOSURE_LEGS`` legs raise :class:`DiagramError`: on
-    cyclic or coupon vertices every leg is its own node, so 18 legs can mean
-    17!! (about 3.4e7) multigraphs to walk and keep.  So does a bare edge,
-    since the pairing of its own two ends closes a circle with no vertex.
+    The piece is held to the closing rule (:func:`_closes`) before the walk.
     """
-    legs = len(piece.legs)
-    if legs % 2:
+    if not _closes(piece):
         return
-    if legs > MAX_CLOSURE_LEGS:
-        raise DiagramError(
-            f"closures take at most {MAX_CLOSURE_LEGS} legs, not {legs}")
-    if piece.bare_pairs:
-        raise DiagramError("composition closed a circle carrying no vertex")
     nodes = leg_nodes(piece)
     n = len(nodes)
     caps = tuple(map(len, nodes))
@@ -173,6 +160,23 @@ def closure_orbits(piece: Diagram):
                (len(seen) - before) * fill // ways)
 
 
+def _closes(piece: Diagram, stars=()) -> bool:
+    """The closing rule: whether ``piece`` plus ``stars`` closes to anything,
+    which an odd leg count does not.  More than ``MAX_CLOSURE_LEGS`` legs
+    raise :class:`DiagramError`, since on cyclic or coupon vertices 18 legs
+    can mean 17!! (about 3.4e7) multigraphs to walk and keep, and so does a
+    bare edge, whose two ends close a circle with no vertex."""
+    legs = len(piece.legs) + sum(e.valence * n for e, n in stars)
+    if legs % 2:
+        return False
+    if legs > MAX_CLOSURE_LEGS:
+        raise DiagramError(
+            f"closures take at most {MAX_CLOSURE_LEGS} legs, not {legs}")
+    if piece.bare_pairs:
+        raise DiagramError("composition closed a circle carrying no vertex")
+    return True
+
+
 def push_forward(table: ColourTable, *, max_degree: int,
                  root: Diagram | None = None):
     """The groupoid cardinality of the closed diagrams over each star
@@ -182,29 +186,18 @@ def push_forward(table: ColourTable, *, max_degree: int,
     ((entry, n), ...) are the action groupoid of their automorphisms on the
     (L-1)!! perfect matchings of their L legs, so this yields each multiset
     whose L is even with (L-1)!! / :func:`union_order`.  No closure is
-    formed, so ``MAX_DEGREE`` and ``MAX_CLOSURE_LEGS`` do not apply.  Past
-    ``MAX_DEGREE``, where the census would refuse, the walk raises
-    :class:`DiagramError` after ``MAX_STAR_MULTISETS`` multisets; it bounds
-    the terms of ``Z`` and the walk alike.  Within ``MAX_DEGREE`` the walk
-    is finite and always runs to the end, however many colours the table
-    has.  A root with a bare edge fails as in the census.
+    formed, so only the walk rule applies, to the terms of ``Z`` and the
+    walk alike.  A root with a bare edge fails as in the census.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
     piece = EMPTY if root is None else mark_root(root)
     order = union_order(piece)
-    walked = 0
     for stars in _star_multisets(table.ordinary(),
                                  max_degree - degree(piece)):
-        walked += 1
-        if walked > MAX_STAR_MULTISETS and max_degree > MAX_DEGREE:
-            raise DiagramError(
-                f"max_degree {max_degree} takes more than"
-                f" {MAX_STAR_MULTISETS} star multisets")
         legs = len(piece.legs) + sum(e.valence * n for e, n in stars)
-        if legs % 2:
-            continue
-        yield stars, Fraction(prod(range(legs - 1, 0, -2)), order(stars))
+        if legs % 2 == 0:
+            yield stars, Fraction(prod(range(legs - 1, 0, -2)), order(stars))
 
 
 def union_order(piece: Diagram):
@@ -220,16 +213,18 @@ def union_order(piece: Diagram):
 
 
 def star_bases(piece: Diagram, table: ColourTable, budget: int):
-    """Each multiset of the table's stars within ``budget`` total valence,
-    as ((entry, n), ...) in name order, with ``piece`` plus those stars."""
-    for stars in _star_multisets(table.ordinary(), budget):
+    """Each multiset of the table's stars within ``budget`` total valence
+    that closes, as ((entry, n), ...) in name order, with ``piece`` plus
+    those stars.  The whole walk meets the closing rule before any base."""
+    for stars in [s for s in _star_multisets(table.ordinary(), budget)
+                  if _closes(piece, s)]:
         yield stars, reduce(disjoint_union, (
             star_for(e) for e, n in stars for _ in range(n)), piece)
 
 
 def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):
     """Multisets of ordinary colours with total valence within budget, as
-    ((entry, count), ...) in table order."""
+    ((entry, count), ...) in name order, under the walk rule."""
     entries = tuple(sorted(entries, key=lambda e: e.name))
 
     def rec(i: int, left: int):
@@ -243,8 +238,13 @@ def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):
                 yield head + rest
 
     if budget < 0:
-        return iter(())
-    return rec(0, budget)
+        return
+    for walked, stars in enumerate(rec(0, budget)):
+        if walked == MAX_STAR_MULTISETS and budget > MAX_CLOSURE_LEGS:
+            raise DiagramError(
+                f"a star budget of {budget} takes more than"
+                f" {MAX_STAR_MULTISETS} star multisets")
+        yield stars
 
 
 def leg_nodes(base: Diagram) -> list[list[int]]:

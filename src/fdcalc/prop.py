@@ -149,7 +149,7 @@ def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
 
     Each orbit of Aut(d) on the leg multigraphs that
     :func:`fdcalc.generate.closure_orbits` yields is canonicalised once, so
-    its rules hold here: empty when the leg count is odd, and
+    its closing rule holds here: empty when the leg count is odd, and
     :class:`DiagramError` for a bare edge or more than ``MAX_CLOSURE_LEGS``
     legs.  A multiplicity is the number of pairings in its class's orbits,
     and a representative is the closure of the first multigraph of the

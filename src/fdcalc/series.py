@@ -13,11 +13,11 @@ times the groupoid cardinality that :func:`fdcalc.generate.push_forward`
 counts, (L-1)!! matchings of its L legs over the order of the stars' and
 the root's symmetry group.  The partition series ``Z`` is that sum, the
 free energy is ``log Z``, the rooted series sums diagrams around a marked
-piece, and the reduced one is the rooted one over ``Z``.  The census bounds
-(``MAX_DEGREE``, and the 16-leg bound on closures) do not apply: every
-degree the census accepts is computed, and past ``MAX_DEGREE`` the walk
-stops after ``MAX_STAR_MULTISETS`` multisets, before any ``log``.  The
-census stays the oracle: :func:`groupoid_integral` sums 1/|Aut| over the
+piece, and the reduced one is the rooted one over ``Z``.  No closure is
+formed, so only the walk rule of :mod:`fdcalc.generate` applies: past a
+star budget of ``MAX_CLOSURE_LEGS`` the walk stops after
+``MAX_STAR_MULTISETS`` multisets, before any ``log``.  The census stays the
+oracle: :func:`groupoid_integral` sums 1/|Aut| over the
 classes of ``enumerate_closed`` and gives the same series.
 """
 from __future__ import annotations

@@ -107,8 +107,8 @@ def check_exp_free_energy(table: ColourTable, max_degree: int) -> CheckResult:
 
     ``F`` sums the census of connected classes and ``Z`` is the orbit-count
     push-forward, so the two sides share no code past the star multisets.
-    The census runs first, so that a degree past its bound fails with its
-    message.
+    The census runs first, so that an input either size rule of
+    :mod:`fdcalc.generate` refuses fails with the census's message.
     """
     f = groupoid_integral(
         enumerate_closed(table, max_degree=max_degree, connected=True),

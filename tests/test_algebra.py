@@ -771,8 +771,12 @@ def test_load_algebra_errors():
     with pytest.raises(AlgebraError):
         load_algebra(doc)
     doc = algebra_doc()
-    doc["tensors"] = {"PHI4": ["1"]}
-    with pytest.raises(AlgebraError):
+    doc["tensors"] = {"phi4": ["1"], "PHI4": ["1"]}
+    with pytest.raises(AlgebraError, match="ordinary colours, not 'PHI4'"):
+        load_algebra(doc)
+    doc = algebra_doc()
+    doc["colours"].append({"name": "phi3", "kind": "sym", "valence": 3})
+    with pytest.raises(AlgebraError, match="colour 'phi3' has no tensor"):
         load_algebra(doc)
     for case in MALFORMED:
         if isinstance(case, str):

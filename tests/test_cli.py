@@ -7,11 +7,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fdcalc import verify
+from fdcalc import generate, verify
 from fdcalc.cli import main
+from fdcalc.diagram import DiagramError, symmetric_star
 from fdcalc.dsl import format_table, parse_diagram
 from fdcalc.generate import enumerate_closed
-from fdcalc.iso import canonical_code
+from fdcalc.iso import automorphism_generators, canonical_code
 from fdcalc.series import (MultiSeries, format_monomial, partition_series,
                            sorted_terms)
 
@@ -41,6 +42,15 @@ QUARTIC_ALG = json.dumps({
     "colours": [{"name": "phi4", "kind": "sym", "valence": 4}],
     "pairing": ["1"],
     "tensors": {"phi4": ["1"]},
+})
+
+# An exact quartic algebra whose pairing is not the identity.
+EXACT_ALG = json.dumps({
+    "dim": 2,
+    "colours": [{"name": "phi4", "kind": "sym", "valence": 4}],
+    "pairing": ["2", "1", "1", "3"],
+    "tensors": {"phi4": ["1", "0", "0", "1/3", "0", "1/3", "1/3", "0",
+                         "0", "1/3", "1/3", "0", "1/3", "0", "0", "2"]},
 })
 
 # A float algebra, and an exact one that "orthonormalize" turns into floats.
@@ -311,11 +321,15 @@ def test_error_exits(files, tmp_path):
     assert err.startswith("error: ") and "valence" in err
     assert "Traceback" not in err
 
+    no_tensor = json.loads(QUARTIC_ALG)["colours"] + [
+        {"name": "phi3", "kind": "sym", "valence": 3}]
     for doc, message in (({"pairing": ["1", "0", "0"]}, "shape (3,)"),
-                         ({"dim": -1}, "dim must be positive")):
-        bad_size = tmp_path / "bad_size.alg"
-        bad_size.write_text(json.dumps(json.loads(QUARTIC_ALG) | doc))
-        rc, out, err = run(["partition", "--algebra", str(bad_size),
+                         ({"dim": -1}, "dim must be positive"),
+                         ({"colours": no_tensor},
+                          "colour 'phi3' has no tensor")):
+        bad_alg = tmp_path / "bad.alg"
+        bad_alg.write_text(json.dumps(json.loads(QUARTIC_ALG) | doc))
+        rc, out, err = run(["partition", "--algebra", str(bad_alg),
                             "--max-degree", "4"])
         assert rc == 2 and not out
         assert err.startswith("error: ") and message in err
@@ -329,18 +343,92 @@ def test_error_exits(files, tmp_path):
         assert err == "error: max_degree must be nonnegative\n", argv
 
 
-def test_algebra_sums_refuse_the_census_bound(files):
+def test_algebra_sums_keep_the_closing_rule(files):
     star, alg = files["star4.fd"], files["quartic.alg"]
-    for argv in (["partition", "--algebra", alg, "--max-degree", "17"],
+    # At 17 every even multiset of quartic stars fits 16 legs.
+    at_16 = run(["partition", "--algebra", alg, "--max-degree", "16"])
+    assert at_16[0] == 0
+    assert run(["partition", "--algebra", alg, "--max-degree", "17"]) == at_16
+    # Five stars carry 20 legs, and so do the star's 4 with four more.
+    for argv in (["partition", "--algebra", alg, "--max-degree", "20"],
                  ["expect", star, "--algebra", alg, "--potential",
                   "--max-degree", "17"]):
-        rc, out, err = run(argv)
-        assert (rc, out) == (2, ""), argv
-        assert err == "error: max_degree 17 exceeds the supported bound 16\n"
+        assert run(argv) == (
+            2, "", "error: closures take at most 16 legs, not 20\n"), argv
     # Without the potential only the piece is closed, at any degree.
     rc, out, err = run(["expect", star, "--algebra", alg, "--max-degree",
                         "17"])
     assert (rc, out, err) == (0, "1\t1/8\n", "")
+
+
+def _quartic_alg(dim: int) -> str:
+    """An exact quartic algebra of the given dim whose tensor is all ones."""
+    return json.dumps({
+        "dim": dim,
+        "colours": [{"name": "phi4", "kind": "sym", "valence": 4}],
+        "pairing": [str(int(i == j)) for i in range(dim)
+                    for j in range(dim)],
+        "tensors": {"phi4": ["1"] * dim ** 4},
+    })
+
+
+FAIL_FAST = [
+    pytest.param(lambda: enumerate_closed(coupon_table(), max_degree=20),
+                 id="coupon-census-20"),
+    pytest.param(lambda: enumerate_closed(quartic_table(), max_degree=10 ** 6),
+                 id="quartic-census-1e6"),
+    pytest.param(lambda: enumerate_closed(low_valence_table(), max_degree=17),
+                 id="low-valence-census-17"),
+    pytest.param(lambda: enumerate_closed(
+        quartic_table(), max_degree=10 ** 6,
+        root=symmetric_star("PHI3", 3, special=True)),
+        id="special-3-leg-root-1e6"),
+    pytest.param(["partition", "--algebra", "quartic5.alg",
+                  "--max-degree", "20"], id="partition-algebra-20"),
+]
+
+
+@pytest.mark.parametrize("refused", FAIL_FAST)
+def test_size_rules_refuse_before_any_closure(tmp_path, monkeypatch,
+                                              refused):
+    # A lazy check would walk the bases below the refused one first: the
+    # coupon census at degree 16 alone takes over half a minute.
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return automorphism_generators(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "automorphism_generators", counted)
+    (tmp_path / "quartic5.alg").write_text(_quartic_alg(5))
+    start = time.perf_counter()
+    if callable(refused):
+        with pytest.raises(DiagramError):
+            refused()
+    else:
+        argv = [str(tmp_path / a) if a.endswith(".alg") else a
+                for a in refused]
+        assert run(argv) == (
+            2, "", "error: closures take at most 16 legs, not 20\n")
+    assert time.perf_counter() - start < 1
+    assert searches == []
+
+
+@pytest.mark.parametrize("root", [
+    "vertex a sym phi4 legs 4; edge a.1 - a.2; edge a.3 - a.4;\n",
+    "vertex a sym phi4 legs 4; vertex b sym phi4 legs 4;\n"
+    + "".join(f"edge a.{i} - b.{i};\n" for i in range(1, 5)),
+], ids=["figure-eight", "banded-pair"])
+def test_verify_frt_reaches_past_degree_sixteen(tmp_path, root):
+    # The root's own vertices carry 4 or 8 of the 20 degrees, so every
+    # even base fits 16 legs.
+    (tmp_path / "root.fd").write_text(root)
+    (tmp_path / "exact.alg").write_text(EXACT_ALG)
+    rc, out, err = run(["verify", "frt", "--algebra",
+                        str(tmp_path / "exact.alg"), "--potential", "--root",
+                        str(tmp_path / "root.fd"), "--max-degree", "20"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS"
 
 
 def test_upper_case_colour_loads(files, tmp_path):

@@ -15,6 +15,7 @@ from fdcalc.generate import (
     enumerate_closed, leg_nodes, multigraphs, push_forward,
 )
 from fdcalc.iso import are_isomorphic, canonical_code
+from fdcalc.series import groupoid_integral, partition_series
 from util import (
     banded_pair, band_with_loops, coupon_table, cubic_table, cyclic_table,
     dumbbell, figure_eight, mixed_table, quartic_table, run_python, theta,
@@ -211,10 +212,21 @@ def test_rooted_full_classes():
 
 
 def test_degree_guard():
+    # Past degree 16 the closing rule refuses, not the degree: at 17 every
+    # even quartic multiset still fits 16 legs, and at 20 five stars carry
+    # 20 legs.
+    table = quartic_table()
+    at_16 = enumerate_closed(table, max_degree=16)
+    at_17 = enumerate_closed(table, max_degree=17)
+    assert [(c.degree, c.aut, c.key) for c in at_17] == [
+        (c.degree, c.aut, c.key) for c in at_16]
+    assert groupoid_integral(at_17, table, 17).coeffs == (
+        partition_series(table, 16).coeffs)
+    with pytest.raises(DiagramError,
+                       match="^closures take at most 16 legs, not 20$"):
+        enumerate_closed(table, max_degree=20)
     with pytest.raises(DiagramError):
-        enumerate_closed(quartic_table(), max_degree=17)
-    with pytest.raises(DiagramError):
-        enumerate_closed(quartic_table(), max_degree=-1)
+        enumerate_closed(table, max_degree=-1)
 
 
 def six_special_psi3_stars() -> Diagram:

@@ -13,6 +13,7 @@ alone loads no numpy.  A private name stays in its module.
 """
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,17 @@ def _imports(name: str, top_level: bool = False
             else:
                 out.append((module, names))
     return out
+
+
+def test_every_size_bound_named_is_defined_in_generate():
+    # The size bounds live in ``generate``; the docs and the code must not
+    # name one that is gone.
+    defined = {t.id for node in _tree("generate").body
+               if isinstance(node, ast.Assign) for t in node.targets
+               if isinstance(t, ast.Name)}
+    for path in (SRC.parent.parent / "README.md", *sorted(SRC.glob("*.py"))):
+        named = set(re.findall(r"MAX_[A-Z_]+", path.read_text()))
+        assert named <= defined, (path.name, named - defined)
 
 
 def test_every_module_has_a_layer():

@@ -17,8 +17,8 @@ from fdcalc.series import (
     groupoid_integral, partition_series, rooted_series, variable_for,
 )
 from util import (
-    coupon_table, cubic_table, cyclic_table, low_valence_table, mixed_table,
-    quartic_table,
+    banded_pair, coupon_table, cubic_table, cyclic_table, figure_eight,
+    low_valence_table, mixed_table, quartic_table,
 )
 
 X = VariableKey("phi4", 4)
@@ -347,6 +347,28 @@ def test_rooted_push_forward_matches_census(table, root, max_degree):
     assert rooted_series(table, root, max_degree) == full
     assert rooted_series(table, root, max_degree, reduced=True) == (
         census_series(table, max_degree, root=root, reduced=True))
+
+
+LOOPED_PHI4 = Diagram((Vertex("symmetric", "phi4", (0, 1, 2, 3)),),
+                     frozenset({(0, 1)}))
+
+
+@pytest.mark.parametrize("root,degrees", [
+    (figure_eight(), (18, 19, 20)), (banded_pair(), (18, 19, 20)),
+    (LOOPED_PHI4, (18, 19)),
+], ids=["figure-eight", "banded-pair", "looped-phi4"])
+def test_rooted_census_reaches_past_degree_sixteen(root, degrees):
+    # A root's own ordinary vertices carry degree, so past degree 16 its
+    # closings can still fit 16 legs, and both sides sum them.
+    table = quartic_table()
+    for max_degree in degrees:
+        for reduced in (False, True):
+            assert census_series(table, max_degree, root=root,
+                                 reduced=reduced) == rooted_series(
+                table, root, max_degree, reduced=reduced), max_degree
+    # Two legs and four more stars make 18.
+    with pytest.raises(DiagramError, match="at most 16 legs, not 18"):
+        enumerate_closed(table, max_degree=20, root=LOOPED_PHI4)
 
 
 def test_rooted_series_keep_the_census_refusal_of_a_bare_edge():
