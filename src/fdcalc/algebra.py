@@ -40,7 +40,7 @@ from .diagram import (
     Diagram, DiagramError, EdgeColouring, TypedDiagram, degree, mark_root,
     star_for,
 )
-from .generate import closure_orbits, star_bases, union_order
+from .generate import closure_orbits, star_bases
 from .iso import aut_order
 from .poly import Poly, integer_form, invert_exact, is_exact
 from .series import (
@@ -504,23 +504,25 @@ def expectation_value(g: Diagram, a: AlgebraSpec, *,
     multiset of stars within ``max_degree`` with the potential, or ``g``
     alone, into the constant term, without it.  An isomorphism of two
     closures keeps the marked piece, so each orbit of Aut(base) on the leg
-    pairings is a class and weighs its pairings over |Aut base|.  An odd leg
-    count gives 0.  A negative ``max_degree`` raises :class:`DiagramError`,
-    and so does an input that either size rule of :mod:`fdcalc.generate`
-    refuses, before any closure is walked or amplitude taken.
+    pairings is a class and weighs its pairings over |Aut base|.
+    :func:`fdcalc.generate.star_bases` hands out that order and the
+    group's generators from one search on ``g`` and one per colour, so no
+    base is searched.  An odd leg count gives 0.  A negative
+    ``max_degree`` raises :class:`DiagramError`, and so does an input that
+    either size rule of :mod:`fdcalc.generate` refuses, before any closure
+    is walked or amplitude taken.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
     piece = mark_root(g)
     budget = max_degree - degree(piece) if with_potential else 0
-    order = union_order(piece)
     acc = {}
-    for stars, base in star_bases(piece, a.table, budget):
+    for _, base, order, generators in star_bases(piece, a.table, budget):
         total = sum(Fraction(amplitude(rep, a)) * ways
-                    for rep, ways in closure_orbits(base))
+                    for rep, ways in closure_orbits(base, generators))
         if total:
             m = diagram_monomial(base, a.table) if with_potential else ()
-            acc[m] = total / order(stars)
+            acc[m] = total / order
     return MultiSeries(acc, max_degree)
 
 

@@ -23,19 +23,24 @@ comes out once, as its sorted edge codes, in descending lexicographic order;
 single-leg nodes lists the perfect pairings behind
 :func:`fdcalc.prop.edge_pairings`.  One engine, :func:`closure_orbits`,
 walks the multigraphs in that order; the first one of each orbit floods the
-orbit under the generators that :func:`fdcalc.iso.automorphism_generators`
-returns, and it alone is instantiated, with the number of matchings its
-orbit stands for.  The census filters and canonicalises these closures,
-and :func:`fdcalc.prop.closures` sums their matching counts by class.
+orbit under generators of the piece's group that the caller hands it, and
+it alone is instantiated, with the number of matchings its orbit stands
+for.  The walk ends once the orbits account for all (L-1)!! matchings of
+the L legs.  The census filters and canonicalises these closures, and
+:func:`fdcalc.prop.closures`, which takes the generators from a search of
+its piece, sums their matching counts by class.
 
 Sums over the classes need no census.  The closed diagrams over one star
 multiset are the action groupoid of Aut(base), the marked root plus the
 stars, on the leg matchings; a matching's stabiliser is its closure's
-automorphism group, so each orbit weighs its matchings over |Aut(base)|,
-which :func:`union_order` reads off one search per colour and one on the
-root.  :func:`fdcalc.algebra.expectation_value` weighs each orbit of
-:func:`star_bases` by its amplitude.  :func:`push_forward` yields whole
-cardinalities and forms no closure.
+automorphism group, so each orbit weighs its matchings over |Aut(base)|.
+The root's vertices are marked, so Aut(base) is Aut(root) times a wreath
+product Aut(star) ≀ S_n per colour with n stars.  One search on the root
+and one per colour give its order and its generators
+(:func:`union_group`), which :func:`star_bases` hands out with each base:
+no base is searched.  :func:`fdcalc.algebra.expectation_value` weighs each
+orbit of :func:`star_bases` by its amplitude.  :func:`push_forward` yields
+whole cardinalities and forms no closure.
 
 Two size rules hold for every caller, each in one function.  The closing
 rule, in :func:`_closes` and held by :func:`closure_orbits` and
@@ -49,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from math import factorial, prod
 
 from .colours import ColourEntry, ColourTable
@@ -60,8 +65,7 @@ from .diagram import (
 from .iso import automorphism_generators, canonical_code
 
 MAX_CLOSURE_LEGS = 16
-# Each star multiset is one term of Z (or none, for an odd leg count), and
-# ``log`` of a 100-term Z takes seconds: 2.6 s for quartic Z to degree 396.
+# Each star multiset is one term of Z (or none, for an odd leg count).
 MAX_STAR_MULTISETS = 100
 
 
@@ -96,8 +100,9 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
         raise DiagramError("max_degree must be nonnegative")
     piece = EMPTY if root is None else mark_root(root)
     found: list[DiagramClass] = []
-    for _, base in star_bases(piece, table, max_degree - degree(piece)):
-        for d, _ in closure_orbits(base):
+    for _, base, _, generators in star_bases(piece, table,
+                                             max_degree - degree(piece)):
+        for d, _ in closure_orbits(base, generators):
             if connected and len(connected_components(d)) != 1:
                 continue
             if reduced and not _is_reduced(d):
@@ -112,18 +117,22 @@ def _is_reduced(d: Diagram) -> bool:
                for comp in connected_components(d))
 
 
-def closure_orbits(piece: Diagram):
+def closure_orbits(piece: Diagram, generators):
     """Closures of ``piece``, one per orbit of Aut(piece) on its leg
     multigraphs, each with the number of leg pairings its orbit stands for.
 
-    The multigraphs are walked in :func:`multigraphs` order.  The first one of
-    each orbit floods the orbit under the generators that
-    :func:`fdcalc.iso.automorphism_generators` returns, and it alone is
-    instantiated.  Every multigraph of an orbit stands for the same number of
-    pairings, prod c_a! / (prod 2^l_a l_a! * prod m_ab!) over the node
-    capacities c_a, loop counts l_a and edge multiplicities m_ab.
-
-    The piece is held to the closing rule (:func:`_closes`) before the walk.
+    The group comes from the caller: ``generators`` is a function of no
+    arguments that returns automorphisms generating Aut(piece), each a map
+    of every slot half-edge to its image.  It is called once the piece meets
+    the closing rule (:func:`_closes`), so a refused piece is never
+    searched.  The multigraphs are walked in :func:`multigraphs` order.  The
+    first one of each orbit floods the orbit under the generators, and it
+    alone is instantiated.  Every multigraph of an orbit stands for the same
+    number of pairings, prod c_a! / (prod 2^l_a l_a! * prod m_ab!) over the
+    node capacities c_a, loop counts l_a and edge multiplicities m_ab.  The
+    pairings of all L legs number (L-1)!!, so the walk stops once the
+    orbits have counted them all: every multigraph left lies in an orbit
+    already flooded.
     """
     if not _closes(piece):
         return
@@ -132,12 +141,12 @@ def closure_orbits(piece: Diagram):
     caps = tuple(map(len, nodes))
     # Each automorphism of the piece as a map of edge codes a*n + b.
     node_of = {h: i for i, ns in enumerate(nodes) for h in ns}
-    perms = {tuple(node_of[g[ns[0]]] for ns in nodes)
-             for g in automorphism_generators(piece)}
+    perms = {tuple(node_of[g[ns[0]]] for ns in nodes) for g in generators()}
     perms.discard(tuple(range(n)))
     moves = [[min(p[a], p[b]) * n + max(p[a], p[b])
               for a in range(n) for b in range(n)] for p in perms]
     fill = prod(map(factorial, caps))
+    left = prod(range(sum(caps) - 1, 0, -2))
     seen: set[tuple[int, ...]] = set()
     for graph in multigraphs(caps):
         if graph in seen:
@@ -156,8 +165,12 @@ def closure_orbits(piece: Diagram):
         for (a, b), m in Counter(node_pairs(graph, n)).items():
             ways *= factorial(m) << m if a == b else factorial(m)
         pairs = instantiate(nodes, graph)
+        pairings = (len(seen) - before) * fill // ways
         yield (Diagram(piece.vertices, piece.pairs | pairs, piece.root_pairs),
-               (len(seen) - before) * fill // ways)
+               pairings)
+        left -= pairings
+        if not left:
+            return
 
 
 def _closes(piece: Diagram, stars=()) -> bool:
@@ -185,14 +198,14 @@ def push_forward(table: ColourTable, *, max_degree: int,
     The closed diagrams containing the marked ``root`` and the stars
     ((entry, n), ...) are the action groupoid of their automorphisms on the
     (L-1)!! perfect matchings of their L legs, so this yields each multiset
-    whose L is even with (L-1)!! / :func:`union_order`.  No closure is
-    formed, so only the walk rule applies, to the terms of ``Z`` and the
-    walk alike.  A root with a bare edge fails as in the census.
+    whose L is even with (L-1)!! over the order of :func:`union_group`.  No
+    closure is formed, so only the walk rule applies, to the terms of ``Z``
+    and the walk alike.  A root with a bare edge fails as in the census.
     """
     if max_degree < 0:
         raise DiagramError("max_degree must be nonnegative")
     piece = EMPTY if root is None else mark_root(root)
-    order = union_order(piece)
+    order, _ = union_group(piece)
     for stars in _star_multisets(table.ordinary(),
                                  max_degree - degree(piece)):
         legs = len(piece.legs) + sum(e.valence * n for e, n in stars)
@@ -200,26 +213,59 @@ def push_forward(table: ColourTable, *, max_degree: int,
             yield stars, Fraction(prod(range(legs - 1, 0, -2)), order(stars))
 
 
-def union_order(piece: Diagram):
-    """|Aut(piece + stars)| as a function of the stars ((entry, n), ...):
-    |Aut piece| prod n! |Aut star|^n, since the piece's vertices are marked
-    (:func:`fdcalc.diagram.mark_root`) and no automorphism trades them for a
-    star's.  The piece and each colour's star are searched once, at first
-    need; no other diagram is formed."""
-    piece_aut = cache(lambda: canonical_code(piece).aut_order)
-    star_aut = cache(lambda e: canonical_code(star_for(e)).aut_order)
-    return lambda stars: piece_aut() * prod(
-        factorial(n) * star_aut(e) ** n for e, n in stars)
-
-
 def star_bases(piece: Diagram, table: ColourTable, budget: int):
     """Each multiset of the table's stars within ``budget`` total valence
     that closes, as ((entry, n), ...) in name order, with ``piece`` plus
-    those stars.  The whole walk meets the closing rule before any base."""
+    those stars, the order of its automorphism group and a function that
+    builds the group's generators for :func:`closure_orbits`.  The whole
+    walk meets the closing rule before any base is formed or searched."""
+    order, generators = union_group(piece)
     for stars in [s for s in _star_multisets(table.ordinary(), budget)
                   if _closes(piece, s)]:
-        yield stars, reduce(disjoint_union, (
+        base = reduce(disjoint_union, (
             star_for(e) for e, n in stars for _ in range(n)), piece)
+        yield stars, base, order(stars), partial(generators, stars, base)
+
+
+def union_group(piece: Diagram):
+    """Aut(piece + stars) as two functions: its order, of the stars, and
+    its generators, of the stars and the base :func:`star_bases` forms.
+
+    The piece's vertices are marked (:func:`fdcalc.diagram.mark_root`), so
+    no automorphism trades them for a star's, and the group is Aut(piece)
+    times, for each colour with n stars, Aut(star) wreathed with the
+    symmetric group on the n copies.  So its order is |Aut piece| prod n!
+    |Aut star|^n, and it is generated by the piece's generators, each
+    colour's star generators on its first copy, the swap of its first two
+    copies and the cycle of all n.  The piece and each colour's star are
+    searched once, at first need; no other diagram is searched.
+    """
+    search = cache(lambda e: automorphism_generators(
+        piece if e is None else star_for(e)))
+
+    def order(stars):
+        return search(None)[0] * prod(
+            factorial(n) * search(e)[0] ** n for e, n in stars)
+
+    def generators(stars, base):
+        # Copy k of a star is the star's half-edges shifted by its least one.
+        copies = iter(base.vertices[len(piece.vertices):])
+        moves = list(search(None)[1])
+        for e, n in stars:
+            at = [min(next(copies).slots) for _ in range(n)]
+            slots = range(e.valence)
+            moves += [{h + at[0]: x + at[0] for h, x in g.items()}
+                      for g in search(e)[1]]
+            if n > 1:
+                moves.append({h + at[k]: h + at[1 - k]
+                              for k in (0, 1) for h in slots})
+            if n > 2:
+                moves.append({h + at[k]: h + at[(k + 1) % n]
+                              for k in range(n) for h in slots})
+        fixed = {h: h for v in base.vertices for h in v.slots}
+        return [fixed | g for g in moves]
+
+    return order, generators
 
 
 def _star_multisets(entries: tuple[ColourEntry, ...], budget: int):

@@ -34,7 +34,7 @@ Comput. 2014) and Junttila & Kaski's *bliss* (ALENEX 2007).
   the automorphisms that fix the ones individualised above it
   (orbit-stabiliser).  Since that count is exact, the automorphisms found
   generate the whole group on the slot half-edges;
-  ``automorphism_generators`` returns them.
+  ``automorphism_generators`` returns them with |Aut|.
 
 Valence-0 vertices and untyped bare edges own no slots.  They enter the code
 as counts, and |Aut| gains k! for each group of k equal valence-0 vertices
@@ -264,22 +264,29 @@ def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
                             for a, b in base.bare_pairs))
         body, count, _ = _search(base, tok)
     else:
-        base = d
-        b = len(base.bare_pairs)
-        head, tail = ("D",), b
-        body, count, _ = _search(base, {})
-        count *= math.factorial(b) * 2 ** b
+        head, tail = ("D",), len(d.bare_pairs)
+        body, count, _ = _search(d, {})
+        count *= _bare_factor(d)
     return CanonicalCode(repr(head + body + (tail,)).encode(), count)
 
 
-def automorphism_generators(d: Diagram) -> list[dict[int, int]]:
-    """Automorphisms of ``d`` that generate its group on the slot half-edges,
-    each a map of every slot half-edge to its image.
+def automorphism_generators(d: Diagram) -> tuple[int, list[dict[int, int]]]:
+    """|Aut d| and automorphisms of ``d`` that generate its group on the
+    slot half-edges, each a map of every slot half-edge to its image, from
+    one search.
 
     They are the automorphisms the canonical search of ``d`` finds; |Aut| is
     their group's order times the valence-0 and bare-edge factors.
     """
-    return _search(d, {})[2]
+    _, count, maps = _search(d, {})
+    return count * _bare_factor(d), maps
+
+
+def _bare_factor(d: Diagram) -> int:
+    """b! 2^b for the b untyped bare edges of ``d``: each may be swapped with
+    another and reversed."""
+    b = len(d.bare_pairs)
+    return math.factorial(b) * 2 ** b
 
 
 def aut_order(d: Diagram | TypedDiagram) -> int:

@@ -15,7 +15,9 @@ of legs added as edges.  Pairings that Aut(d) maps onto each other close to
 isomorphic diagrams, so the classes are unions of orbits.  The orbits come
 from the census's engine in :mod:`fdcalc.generate`, which walks leg
 multigraphs, where the legs of a symmetric vertex form one node, and yields
-one closure per orbit with its pairing count.  Each is canonicalised once,
+one closure per orbit with its pairing count.  Unlike a census base, an
+open piece has no parts to build its group from, so its generators come
+from one search of the piece.  Each closure is canonicalised once,
 and a multiplicity is the sum of its class's pairing counts.  The engine
 also decides which pieces can be closed: see
 :func:`fdcalc.generate.closure_orbits`.
@@ -27,7 +29,7 @@ from .diagram import (
     relabel_typed,
 )
 from .generate import closure_orbits, multigraphs, node_pairs
-from .iso import canonical_code
+from .iso import automorphism_generators, canonical_code
 
 
 def identity(n: int) -> TypedDiagram:
@@ -148,15 +150,17 @@ def closures(d: Diagram) -> list[tuple[Diagram, int, int]]:
     legs of ``d``, as (representative, multiplicity, |Aut|), sorted by code.
 
     Each orbit of Aut(d) on the leg multigraphs that
-    :func:`fdcalc.generate.closure_orbits` yields is canonicalised once, so
-    its closing rule holds here: empty when the leg count is odd, and
-    :class:`DiagramError` for a bare edge or more than ``MAX_CLOSURE_LEGS``
-    legs.  A multiplicity is the number of pairings in its class's orbits,
-    and a representative is the closure of the first multigraph of the
-    class in walk order, on the half-edge ids of ``d``.
+    :func:`fdcalc.generate.closure_orbits` yields, flooded under the
+    generators of one search of ``d``, is canonicalised once.  Its closing
+    rule holds here, before that search: empty when the leg count is odd,
+    and :class:`DiagramError` for a bare edge or more than
+    ``MAX_CLOSURE_LEGS`` legs.  A multiplicity is the number of pairings in
+    its class's orbits, and a representative is the closure of the first
+    multigraph of the class in walk order, on the half-edge ids of ``d``.
     """
     found: dict[bytes, list] = {}
-    for closed, ways in closure_orbits(d):
+    for closed, ways in closure_orbits(
+            d, lambda: automorphism_generators(d)[1]):
         code = canonical_code(closed)
         if code.code in found:
             found[code.code][1] += ways

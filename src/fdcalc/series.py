@@ -173,11 +173,38 @@ class MultiSeries:
         return _power_sum(self, lambda k: Fraction(1, factorial(k)))
 
     def log(self) -> "MultiSeries":
-        """log(1 + t) = sum (-1)^(k+1) t^k / k over k >= 1, for t = self - 1."""
+        """log Z for Z = self, by the grading recurrence.
+
+        With W the weight operator (W m = weight(m) m), W log Z = WZ / Z, so
+        weight(m) L_m = weight(m) Z_m - sum Z_a (W L)_b over the products
+        ab = m with a nonconstant: each coefficient of L = log Z follows
+        from ones of lower weight, in weight order.  This costs about one
+        product of L with Z, where the power sum costs one per power.
+        """
         if self.coefficient(()) != 1:
             raise ValueError("log needs constant term 1")
-        return _power_sum(self - 1,
-                          lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+        bound = self.max_degree
+        z = sorted(((_mono_weight(m), m, c) for m, c in self.coeffs.items()
+                    if m), key=lambda t: t[0])
+        # Weight -> monomial m -> weight(m) Z_m less the terms of the sum
+        # found so far, which is (W L)_m once its weight comes up.
+        todo: dict[int, dict[Monomial, Fraction]] = {}
+        for w, m, c in z:
+            todo.setdefault(w, {})[m] = w * c
+        out = {}
+        while todo:
+            w = min(todo)
+            for b, wl in todo.pop(w).items():
+                if not wl:
+                    continue
+                out[b] = wl / w
+                for wa, a, c in z:
+                    if w + wa > bound:
+                        break
+                    row = todo.setdefault(w + wa, {})
+                    m = _mono_mul(a, b)
+                    row[m] = row.get(m, 0) - c * wl
+        return MultiSeries(out, bound)
 
     def reciprocal(self) -> "MultiSeries":
         """1/(c(1 + t)) = sum (-t)^k / c, for c the constant term and

@@ -1,8 +1,11 @@
-"""Brute-force |Aut|, the oracle for :func:`fdcalc.iso.canonical_code`.
+"""Brute-force oracles for automorphisms, sharing no logic with the
+canonical search.
 
-It enumerates candidate vertex bijections extended by explicit slot
-bijections and counts the maps commuting with the matching.  It shares no
-logic with the canonical search.
+:func:`aut_order_bruteforce`, the oracle for |Aut| from
+:func:`fdcalc.iso.canonical_code`, enumerates candidate vertex bijections
+extended by explicit slot bijections and counts the maps commuting with the
+matching.  :func:`is_automorphism` checks one map of slot half-edges, and
+:func:`group_order` lists the group that some maps generate.
 """
 from __future__ import annotations
 
@@ -10,6 +13,10 @@ import itertools
 import math
 
 from fdcalc.diagram import Diagram, TypedDiagram
+
+
+def _sig(v):
+    return (v.kind, v.n_in, v.colour, v.special, v.root, v.valence)
 
 
 def aut_order_bruteforce(d: Diagram | TypedDiagram, bound: int = 16) -> int:
@@ -26,10 +33,7 @@ def aut_order_bruteforce(d: Diagram | TypedDiagram, bound: int = 16) -> int:
     partner = base.partner
     rp = base.root_pairs
 
-    def sig(v):
-        return (v.kind, v.n_in, v.colour, v.special, v.root, v.valence)
-
-    cand = [[j for j in range(nvert) if sig(verts[j]) == sig(verts[i])] for i in range(nvert)]
+    cand = [[j for j in range(nvert) if _sig(verts[j]) == _sig(verts[i])] for i in range(nvert)]
     used = [False] * nvert
     phi: dict[int, int] = {}
     count = 0
@@ -87,3 +91,60 @@ def aut_order_bruteforce(d: Diagram | TypedDiagram, bound: int = 16) -> int:
         b = len(base.bare_pairs)
         count *= math.factorial(b) * 2 ** b
     return count
+
+
+def is_automorphism(d: Diagram, g: dict[int, int]) -> bool:
+    """Whether ``g``, a map of the slot half-edges of ``d``, is an
+    automorphism: a bijection of the slots that keeps the matching and the
+    root edges, and maps each vertex's slots onto a vertex of the same
+    kind, colour and marks, pointwise for coupons, by a rotation for cyclic
+    vertices and in any order for symmetric ones."""
+    partner = d.partner
+    halves = sorted(h for v in d.vertices for h in v.slots)
+    if sorted(g) != halves or sorted(g.values()) != halves:
+        return False
+    for h in halves:
+        if (h in partner) != (g[h] in partner):
+            return False
+        if h in partner:
+            edge = tuple(sorted((h, partner[h])))
+            image = tuple(sorted((g[h], g[partner[h]])))
+            if (partner[g[h]] != g[partner[h]]
+                    or (edge in d.root_pairs) != (image in d.root_pairs)):
+                return False
+    owner = {h: v for v in d.vertices for h in v.slots}
+    for v in d.vertices:
+        if not v.slots:
+            continue
+        w = owner[g[v.slots[0]]]
+        moved = tuple(g[h] for h in v.slots)
+        if _sig(w) != _sig(v):
+            return False
+        if v.kind == "coupon":
+            ok = moved == w.slots
+        elif v.kind == "cyclic":
+            k = w.slots.index(moved[0])
+            ok = moved == w.slots[k:] + w.slots[:k]
+        else:
+            ok = sorted(moved) == list(w.slots)
+        if not ok:
+            return False
+    return True
+
+
+def group_order(gens: list[dict[int, int]], halves: list[int]) -> int:
+    """Order of the group the maps ``gens`` generate on ``halves``, by
+    listing every element as the positions of the images."""
+    where = {h: i for i, h in enumerate(halves)}
+    moves = [tuple(where[g[h]] for h in halves) for g in gens]
+    identity_map = tuple(range(len(halves)))
+    elements = {identity_map}
+    todo = [identity_map]
+    while todo:
+        x = todo.pop()
+        for m in moves:
+            y = tuple(map(m.__getitem__, x))
+            if y not in elements:
+                elements.add(y)
+                todo.append(y)
+    return len(elements)

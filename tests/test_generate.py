@@ -10,12 +10,14 @@ from fdcalc.diagram import (
     cyclic_star, degree, disjoint_union, mark_root, star_for, symmetric_star,
 )
 from fdcalc.dsl import format_table
+from fdcalc import generate
 from fdcalc.generate import (
     MAX_STAR_MULTISETS, DiagramClass, _star_multisets, closure_orbits,
-    enumerate_closed, leg_nodes, multigraphs, push_forward,
+    enumerate_closed, leg_nodes, multigraphs, push_forward, star_bases,
 )
-from fdcalc.iso import are_isomorphic, canonical_code
+from fdcalc.iso import are_isomorphic, automorphism_generators, canonical_code
 from fdcalc.series import groupoid_integral, partition_series
+from bruteforce import group_order, is_automorphism
 from util import (
     banded_pair, band_with_loops, coupon_table, cubic_table, cyclic_table,
     dumbbell, figure_eight, mixed_table, quartic_table, run_python, theta,
@@ -284,10 +286,20 @@ def test_rooted_census_refuses_an_eighteen_leg_special_star():
                          root=symmetric_star("PHI4", 18, special=True))
 
 
+def searched(piece):
+    """The generators of ``piece`` from its own search, for
+    :func:`closure_orbits`."""
+    return lambda: automorphism_generators(piece)[1]
+
+
+def never_searched():
+    raise AssertionError("a refused piece was searched")
+
+
 def test_closure_orbits_refuse_a_bare_edge():
     with pytest.raises(DiagramError, match="circle carrying no vertex"):
         list(closure_orbits(disjoint_union(symmetric_star("x", 2),
-                                           bare_edge())))
+                                           bare_edge()), never_searched))
 
 
 @pytest.mark.parametrize("piece", [
@@ -297,7 +309,7 @@ def test_closure_orbits_refuse_a_bare_edge():
     disjoint_union(symmetric_star("x", 3), bare_edge()),
 ], ids=["3-star", "17-star", "3-star-and-bare-edge"])
 def test_closure_orbits_yield_nothing_on_odd_legs(piece):
-    assert list(closure_orbits(piece)) == []
+    assert list(closure_orbits(piece, never_searched)) == []
 
 
 def multigraphs_by_matchings(caps):
@@ -445,6 +457,15 @@ def test_orbit_census_matches_per_candidate_reference(table, maxdeg, root,
     assert got == _enumerate_by_candidates(table, maxdeg, root, **flags)
 
 
+def _census_piece(table: str, rooted: bool):
+    """The piece and star budget of the census bases checked below: no
+    root at degree 12, or the table's first special colour at degree 9."""
+    if not rooted:
+        return EMPTY, 12
+    special = next(e for e in _TABLES[table] if e.special)
+    return mark_root(star_for(special)), 9
+
+
 @pytest.mark.parametrize("rooted", [False, True], ids=["12", "rooted-9"])
 @pytest.mark.parametrize("table", _TABLES)
 def test_census_orbits_obey_orbit_stabiliser(table, rooted):
@@ -459,12 +480,8 @@ def test_census_orbits_obey_orbit_stabiliser(table, rooted):
     6-star with one loop has |Aut| 48 and one orbit of 3 pairings, and its
     closure, three loops on one vertex, has |Aut| 48 too, not 16.
     """
-    table = _TABLES[table]
-    piece, budget = EMPTY, 12
-    if rooted:
-        special = next(e for e in table if e.special)
-        piece, budget = mark_root(star_for(special)), 9
-    for stars in _star_multisets(table.ordinary(), budget):
+    piece, budget = _census_piece(table, rooted)
+    for stars in _star_multisets(_TABLES[table].ordinary(), budget):
         base = piece
         for entry, count in stars:
             for _ in range(count):
@@ -472,5 +489,66 @@ def test_census_orbits_obey_orbit_stabiliser(table, rooted):
         if len(base.legs) % 2:
             continue
         aut = canonical_code(base).aut_order
-        for closed, pairings in closure_orbits(base):
+        for closed, pairings in closure_orbits(base, searched(base)):
             assert canonical_code(closed).aut_order * pairings == aut
+
+
+@pytest.mark.parametrize("rooted", [False, True], ids=["12", "rooted-9"])
+@pytest.mark.parametrize("table", _TABLES)
+def test_built_generators_generate_each_census_base_group(table, rooted):
+    # The group of a census base, built from the piece's and each colour's
+    # own search, against the base's: automorphisms of the base, of the
+    # base's order when listed in full, and the same orbits in the same
+    # walk order with the same pairing counts.
+    piece, budget = _census_piece(table, rooted)
+    for _, base, order, generators in star_bases(piece, _TABLES[table],
+                                                 budget):
+        gens = generators()
+        assert all(is_automorphism(base, g) for g in gens)
+        halves = sorted(h for v in base.vertices for h in v.slots)
+        assert (group_order(gens, halves) == order
+                == canonical_code(base).aut_order)
+        assert (list(closure_orbits(base, generators))
+                == list(closure_orbits(base, searched(base))))
+
+
+def test_four_cyclic_stars_stop_at_their_last_orbit(monkeypatch):
+    # Twelve single-slot nodes have 11!! = 10,395 multigraphs.  The 17th and
+    # last orbit shows up at the 885th, and by then the orbits account for
+    # all 10,395 pairings, so the walk ends there.
+    walked = []
+
+    def counted(caps):
+        for graph in multigraphs(caps):
+            walked.append(graph)
+            yield graph
+
+    monkeypatch.setattr(generate, "multigraphs", counted)
+    (_, base, _, generators), = [
+        b for b in star_bases(EMPTY, cyclic_table(), 12)
+        if [n for _, n in b[0]] == [4]]
+    orbits = list(closure_orbits(base, generators))
+    assert len(orbits) == 17
+    assert sum(pairings for _, pairings in orbits) == 10395
+    assert len(walked) == 885
+    assert len(list(multigraphs((1,) * 12))) == 10395
+
+
+@pytest.mark.parametrize("root", [None, "PHI4", "PHI3", "PSI3", "looped"])
+@pytest.mark.parametrize("table", _TABLES)
+def test_census_searches_each_part_once(monkeypatch, table, root):
+    # No base is searched: the marked root once and each colour's star once.
+    parts = []
+
+    def counted(d):
+        parts.append(d)
+        return automorphism_generators(d)
+
+    monkeypatch.setattr(generate, "automorphism_generators", counted)
+    table, root = _TABLES[table], _ROOTS.get(root)
+    found = enumerate_closed(table, max_degree=8, root=root)
+    piece = EMPTY if root is None else mark_root(root)
+    assert len(set(parts)) == len(parts)
+    # An odd root on even stars closes to nothing and searches nothing.
+    assert set(parts) == ({piece, *map(star_for, table.ordinary())}
+                          if found else set())

@@ -18,7 +18,7 @@ from fdcalc.prop import (
     braiding, closures, compose, edge_pairings, identity, tensor,
 )
 from test_iso_properties import diagrams
-from bruteforce import aut_order_bruteforce
+from bruteforce import aut_order_bruteforce, group_order, is_automorphism
 from util import figure_eight, random_typed
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -309,64 +309,21 @@ def test_orbits_of_a_marked_piece_are_its_classes(d):
     # An isomorphism of two closures of a marked piece keeps the piece, so
     # it restricts to an automorphism of it: no two orbits share a class.
     marked = mark_root(d)
-    orbits = [(canonical_code(c).code, ways)
-              for c, ways in closure_orbits(marked)]
+    orbits = [(canonical_code(c).code, ways) for c, ways in closure_orbits(
+        marked, lambda: automorphism_generators(marked)[1])]
     assert len({code for code, _ in orbits}) == len(orbits)
     assert sorted(orbits) == [(canonical_code(rep).code, mult)
                               for rep, mult, _ in closures(marked)]
 
 
-def _group_order(gens: list[dict[int, int]], halves: list[int]) -> int:
-    """Order of the group the maps ``gens`` generate on ``halves``."""
-    identity_map = tuple(halves)
-    elements = {identity_map}
-    todo = [identity_map]
-    moves = [tuple(g[h] for h in halves) for g in gens]
-    where = {h: i for i, h in enumerate(halves)}
-    while todo:
-        x = todo.pop()
-        for m in moves:
-            y = tuple(m[where[h]] for h in x)
-            if y not in elements:
-                elements.add(y)
-                todo.append(y)
-    return len(elements)
-
-
 @SETTINGS
 @given(diagrams(max_bare=0))
 def test_automorphism_generators_generate_aut(d):
-    partner = d.partner
     halves = sorted(h for v in d.vertices for h in v.slots)
-    owner = {h: v for v in d.vertices for h in v.slots}
-
-    def sig(v):
-        return (v.kind, v.n_in, v.colour, v.special, v.root, v.valence)
-
-    gens = automorphism_generators(d)
-    for g in gens:
-        assert sorted(g) == halves and sorted(g.values()) == halves
-        for h in halves:
-            assert (h in partner) == (g[h] in partner)
-            if h in partner:
-                assert partner[g[h]] == g[partner[h]]
-                edge = tuple(sorted((h, partner[h])))
-                image = tuple(sorted((g[h], g[partner[h]])))
-                assert (edge in d.root_pairs) == (image in d.root_pairs)
-        for v in d.vertices:
-            if not v.slots:
-                continue
-            w = owner[g[v.slots[0]]]
-            assert sig(w) == sig(v)
-            moved = tuple(g[h] for h in v.slots)
-            if v.kind == "coupon":
-                assert moved == w.slots
-            elif v.kind == "cyclic":
-                k = w.slots.index(moved[0])
-                assert moved == w.slots[k:] + w.slots[:k]
-            else:
-                assert sorted(moved) == list(w.slots)
-    isolated = Counter(sig(v) for v in d.vertices if not v.slots)
-    order = _group_order(gens, halves)
-    assert (order * math.prod(map(math.factorial, isolated.values()))
-            == aut_order_bruteforce(d))
+    order, gens = automorphism_generators(d)
+    assert all(is_automorphism(d, g) for g in gens)
+    isolated = Counter((v.kind, v.n_in, v.colour, v.special, v.root)
+                       for v in d.vertices if not v.slots)
+    assert (group_order(gens, halves)
+            * math.prod(map(math.factorial, isolated.values()))
+            == order == aut_order_bruteforce(d))

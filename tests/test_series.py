@@ -13,8 +13,9 @@ from fdcalc.diagram import (
 )
 from fdcalc.generate import MAX_STAR_MULTISETS, enumerate_closed
 from fdcalc.series import (
-    MultiSeries, VariableKey, diagram_monomial, free_energy_series,
-    groupoid_integral, partition_series, rooted_series, variable_for,
+    MultiSeries, VariableKey, _power_sum, diagram_monomial,
+    free_energy_series, groupoid_integral, partition_series, rooted_series,
+    variable_for,
 )
 from util import (
     banded_pair, coupon_table, cubic_table, cyclic_table, figure_eight,
@@ -377,3 +378,20 @@ def test_rooted_series_keep_the_census_refusal_of_a_bare_edge():
         rooted_series(quartic_table(), root, 8)
     with pytest.raises(DiagramError, match="roots with bare edges"):
         enumerate_closed(quartic_table(), max_degree=8, root=root)
+
+
+def _log_by_power_sum(z: MultiSeries) -> MultiSeries:
+    """log(1 + t) = sum (-1)^(k+1) t^k / k over k >= 1, for t = z - 1."""
+    return _power_sum(z - 1, lambda k: F((-1) ** (k + 1), k) if k else 0)
+
+
+@pytest.mark.parametrize("table,max_degree", [
+    (quartic_table(), 16), (cubic_table(), 16), (mixed_table(), 16),
+    (cyclic_table(), 16), (coupon_table(), 16), (low_valence_table(), 16),
+    # 100 terms, the most the walk rule lets Z have past degree 16.
+    (quartic_table(), 396),
+], ids=["quartic", "cubic", "mixed", "cyclic", "coupon", "low-valence",
+        "quartic-100-terms"])
+def test_log_by_grading_equals_the_power_sum(table, max_degree):
+    z = partition_series(table, max_degree)
+    assert z.log() == _log_by_power_sum(z)
