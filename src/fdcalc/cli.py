@@ -6,25 +6,24 @@ free-energy, expect), or run the built-in cross-checks (verify ...).
 Output is tab-separated rows on stdout, or one JSON document with
 ``--format json``; identical invocations print identical bytes.
 
-Handlers import the numeric layer (``algebra``) where they use it.  Exact
-algebras compute on ``fractions`` alone, so every command on exact inputs
-runs without numpy; only float algebras (float entries or
+The module level imports only what every command uses: the parser and
+the colour, diagram and file-format modules.  Each handler imports the
+rest where it uses it, so a command loads only its own modules: ``aut``
+the canonical search, ``closures`` the wiring, the census and series
+commands ``generate`` and ``series``, ``verify`` its checks, and the
+``--algebra`` commands the numeric layer.  No parser default holds an
+object of another module, and ``json`` loads only for ``--format json``.
+Exact algebras compute on ``fractions`` alone, so every command on exact
+inputs runs without numpy; only float algebras (float entries or
 ``"orthonormalize": true``) and ``verify wick`` load it.
 """
 
 import argparse
-import json
 import sys
 
 from .colours import ColourTable
 from .diagram import Diagram, DiagramError, TypedDiagram
 from .dsl import parse_diagram, parse_table, serialize_diagram
-from .generate import enumerate_closed
-from .iso import canonical_code
-from .prop import closures, compose, tensor
-from .series import (MultiSeries, diagram_monomial, format_monomial,
-                     partition_series, sorted_terms)
-from . import verify
 
 # Every fdcalc error class subclasses ValueError.
 _ERRORS = (OSError, ValueError)
@@ -54,6 +53,7 @@ def _one_line(d: Diagram) -> str:
 
 
 def _series_rows(s) -> tuple[list, dict]:
+    from .series import format_monomial, sorted_terms
     terms = [(format_monomial(m), str(c)) for m, c in sorted_terms(s)]
     rows = [[mono, c] for mono, c in terms]
     obj = {"max_degree": s.max_degree,
@@ -65,6 +65,7 @@ def _series_rows(s) -> tuple[list, dict]:
 # -- command handlers --------------------------------------------------------
 
 def _cmd_aut(args):
+    from .iso import canonical_code
     code = canonical_code(_load_diagram(args.file, _load_table(args.table)))
     rows = [["aut", code.aut_order], ["code", code.code.hex()]]
     return rows, {"aut": code.aut_order, "code": code.code.hex()}, 0
@@ -78,14 +79,18 @@ def _typed(path: str, table: ColourTable | None) -> TypedDiagram:
 
 
 def _cmd_wire(args):
+    """``compose`` and ``tensor``: the :mod:`fdcalc.prop` operation of the
+    subcommand's name."""
+    from . import prop
     table = _load_table(args.table)
-    out = args.operation(_typed(args.first, table),
-                         _typed(args.second, table))
+    out = getattr(prop, args.command)(_typed(args.first, table),
+                                      _typed(args.second, table))
     text = serialize_diagram(out)
     return [[text.rstrip("\n")]], {"diagram": text}, 0
 
 
 def _cmd_closures(args):
+    from .prop import closures
     d = _load_untyped(args.file, _load_table(args.table))
     found = [(mult, aut, _one_line(closed))
              for closed, mult, aut in closures(d)]
@@ -96,6 +101,8 @@ def _cmd_closures(args):
 
 
 def _cmd_enumerate(args):
+    from .generate import enumerate_closed
+    from .series import diagram_monomial, format_monomial
     table = parse_table(_read(args.table))
     root = _load_untyped(args.root, table) if args.root else None
     classes = enumerate_closed(table, max_degree=args.max_degree, root=root,
@@ -118,6 +125,7 @@ def _cmd_series(args):
     if bool(args.table) == bool(args.algebra):
         raise DiagramError("give exactly one of --table and --algebra")
     if args.table:
+        from .series import partition_series
         z = partition_series(parse_table(_read(args.table)), args.max_degree)
     else:
         from .algebra import expectation_value, load_algebra
@@ -138,7 +146,8 @@ def _cmd_expect(args):
     return rows, obj, 0
 
 
-def _finish_check(check: verify.CheckResult):
+def _finish_check(check):
+    """Rows, JSON object and exit code of a ``verify.CheckResult``."""
     rows = [[line] for line in check.lines]
     rows.append(["PASS" if check.ok else "FAIL"])
     obj = {"name": check.name, "ok": check.ok, "lines": list(check.lines)}
@@ -147,17 +156,21 @@ def _finish_check(check: verify.CheckResult):
 
 def _cmd_verify_fixed(args):
     """``verify wick``, ``fubini`` and ``taylor``, which take no input.  The
-    check function is the subparser's default for ``check``; it replaces
-    the subcommand name that the ``verify`` subparsers store there."""
-    return _finish_check(args.check())
+    name of the check function in :mod:`fdcalc.verify` is the subparser's
+    default for ``check``; it replaces the subcommand name that the
+    ``verify`` subparsers store there."""
+    from . import verify
+    return _finish_check(getattr(verify, args.check)())
 
 
 def _cmd_verify_expfz(args):
+    from . import verify
     table = parse_table(_read(args.table))
     return _finish_check(verify.check_exp_free_energy(table, args.max_degree))
 
 
 def _cmd_verify_frt(args):
+    from . import verify
     from .algebra import load_algebra
     a = load_algebra(_read(args.algebra))
     root = _load_untyped(args.root, a.table) if args.root else None
@@ -183,15 +196,15 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--table", help="colour table fixing special colours")
     q.set_defaults(handler=_cmd_aut)
 
-    for name, operation, blurb in (
-            ("compose", compose, "plug the second diagram's outputs"
+    for name, blurb in (
+            ("compose", "plug the second diagram's outputs"
              " into the first diagram's inputs"),
-            ("tensor", tensor, "place two typed diagrams side by side")):
+            ("tensor", "place two typed diagrams side by side")):
         q = sub.add_parser(name, parents=[fmt], help=blurb)
         q.add_argument("first")
         q.add_argument("second")
         q.add_argument("--table")
-        q.set_defaults(handler=_cmd_wire, operation=operation)
+        q.set_defaults(handler=_cmd_wire)
 
     q = sub.add_parser("closures", parents=[fmt],
                        help="close off the legs in every possible way")
@@ -212,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, of_z, blurb in (
             ("partition", lambda z: z,
              "series of all closed diagrams weighted by 1/|Aut|"),
-            ("free-energy", MultiSeries.log,
+            ("free-energy", lambda z: z.log(),
              "series of connected closed diagrams weighted by 1/|Aut|")):
         q = sub.add_parser(name, parents=[fmt], help=blurb)
         q.add_argument("--table")
@@ -234,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = vsub.add_parser("wick", parents=[fmt],
                         help="moment recursion against quadrature")
-    q.set_defaults(handler=_cmd_verify_fixed, check=verify.check_wick)
+    q.set_defaults(handler=_cmd_verify_fixed, check="check_wick")
 
     q = vsub.add_parser("frt", parents=[fmt],
                         help="diagram sum against the Gaussian average")
@@ -253,11 +266,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = vsub.add_parser("fubini", parents=[fmt],
                         help="integration identities on stock coverings")
-    q.set_defaults(handler=_cmd_verify_fixed, check=verify.check_coverings)
+    q.set_defaults(handler=_cmd_verify_fixed, check="check_coverings")
 
     q = vsub.add_parser("taylor", parents=[fmt],
                         help="star-diagram Taylor sums against evaluation")
-    q.set_defaults(handler=_cmd_verify_fixed, check=verify.check_taylor)
+    q.set_defaults(handler=_cmd_verify_fixed, check="check_taylor")
 
     return p
 
@@ -270,6 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
+        import json
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
         for row in rows:

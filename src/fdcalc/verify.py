@@ -3,10 +3,11 @@
 Every check fabricates its own instances deterministically (fixed seeds,
 fixed diagram families), so two runs print byte-identical reports.  Each
 returns a CheckResult: a verdict plus one line per case.  The checks
-that need the numeric layer import ``gaussian`` themselves, so that the
-others never load it.  ``taylor``, and ``frt`` on an exact algebra, compute
-in exact rationals and run without numpy; ``wick`` compares against
-quadrature, which loads it.
+that need the numeric layer import ``gaussian`` themselves, and
+``fubini`` imports ``coverings`` itself, so that the others never load
+them.  ``taylor``, and ``frt`` on an exact algebra, compute in exact
+rationals and run without numpy; ``wick`` compares against quadrature,
+which loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .colours import ColourTable
-from .coverings import (colouring_covering, covering_report, cut_covering,
-                        numbering_covering)
 from .diagram import (Diagram, Vertex, build_diagram, coupon_star,
                       cyclic_star, mark_root, symmetric_star)
 from .poly import Poly
@@ -174,6 +173,8 @@ def _cyclic_loop() -> Diagram:
 
 def check_coverings() -> CheckResult:
     """Pull-back, push-forward and projection identities on stock coverings."""
+    from .coverings import (colouring_covering, covering_report,
+                            cut_covering, numbering_covering)
     instances = [
         ("numbering", "4-star", numbering_covering(symmetric_star("phi4", 4))),
         ("numbering", "4-star as (2,2)",

@@ -2,8 +2,10 @@
 
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -526,6 +528,113 @@ def test_only_numeric_commands_load_numpy(files, argv, numpy):
     done = run_python("-c", code, *argv)
     assert done.returncode == 0
     assert done.stderr.splitlines()[-1] == str(numpy)
+
+
+# Each command and what it loads past what every command loads (``cli``
+# and the colour, diagram and file-format modules): the fdcalc modules by
+# their bare names, and ``json``.  No other fdcalc module loads.
+EVERY_COMMAND = {"cli", "colours", "diagram", "dsl"}
+CENSUS = {"generate", "iso", "series"}
+MODULE_USE = [
+    (["aut", "theta.fd"], {"iso"}),
+    (["aut", "theta.fd", "--format", "json"], {"iso", "json"}),
+    (["compose", "idpair.fd", "idpair.fd"], {"generate", "iso", "prop"}),
+    (["closures", "star4.fd", "--table", "quartic.tbl"],
+     {"generate", "iso", "prop"}),
+    (["enumerate", "--table", "quartic.tbl", "--max-degree", "8"], CENSUS),
+    (["partition", "--table", "quartic.tbl", "--max-degree", "8"], CENSUS),
+    (["free-energy", "--table", "quartic.tbl", "--max-degree", "8"], CENSUS),
+    (["verify", "expfz", "--table", "quartic.tbl", "--max-degree", "8"],
+     CENSUS | {"poly", "verify"}),
+    (["verify", "fubini"],
+     CENSUS | {"coverings", "poly", "prop", "verify"}),
+    (["partition", "--algebra", "quartic.alg", "--max-degree", "8"],
+     CENSUS | {"algebra", "json", "poly"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", MODULE_USE,
+                         ids=[" ".join(argv) for argv, _ in MODULE_USE])
+def test_each_command_loads_only_its_modules(files, argv, loaded):
+    argv = [files.get(a, a) for a in argv]
+    code = ("import sys\n"
+            "from fdcalc.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(*sorted(m.removeprefix('fdcalc.') for m in sys.modules\n"
+            "              if m.startswith('fdcalc.') or m == 'json'),\n"
+            "      file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    done = run_python("-c", code, *argv)
+    assert done.returncode == 0
+    assert done.stderr.splitlines()[-1].split() == sorted(
+        EVERY_COMMAND | loaded)
+
+
+# The argv before ``--help`` of each screen in ``cli_help.txt``.
+HELP_SCREENS = [[], ["aut"], ["compose"], ["tensor"], ["closures"],
+                ["enumerate"], ["partition"], ["free-energy"], ["expect"],
+                ["verify"], ["verify", "wick"], ["verify", "frt"],
+                ["verify", "expfz"], ["verify", "fubini"],
+                ["verify", "taylor"]]
+
+
+def _pinned_help() -> dict[str, str]:
+    """``cli_help.txt``: each screen at 80 columns, under a line
+    ``$ fdcalc <argv> --help``."""
+    parts = re.split(r"^\$ fdcalc (.*)\n",
+                     (Path(__file__).parent / "cli_help.txt").read_text(),
+                     flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def _parse_exit(argv, monkeypatch) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of an argv that argparse ends, at a
+    fixed terminal width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.raises(SystemExit) as stop:
+        main(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", HELP_SCREENS,
+                         ids=lambda v: " ".join(v) or "fdcalc")
+def test_help_is_pinned(argv, monkeypatch):
+    argv = [*argv, "--help"]
+    pinned = _pinned_help()[" ".join(argv)]
+    assert _parse_exit(argv, monkeypatch) == (0, pinned, "")
+
+
+PARSE_ERRORS = [
+    (["partition", "--table", "quartic.tbl"],
+     "usage: fdcalc partition [-h] [--format {tsv,json}] [--table TABLE]\n"
+     "                        [--algebra ALGEBRA] --max-degree MAX_DEGREE\n"
+     "fdcalc partition: error: the following arguments are required:"
+     " --max-degree\n"),
+    (["nope"],
+     "usage: fdcalc [-h]\n"
+     "              {aut,compose,tensor,closures,enumerate,partition,"
+     "free-energy,expect,verify}\n"
+     "              ...\n"
+     "fdcalc: error: argument command: invalid choice: 'nope' (choose from"
+     " 'aut', 'compose', 'tensor', 'closures', 'enumerate', 'partition',"
+     " 'free-energy', 'expect', 'verify')\n"),
+    (["verify"],
+     "usage: fdcalc verify [-h] {wick,frt,expfz,fubini,taylor} ...\n"
+     "fdcalc verify: error: the following arguments are required: check\n"),
+    (["aut", "theta.fd", "--format", "xml"],
+     "usage: fdcalc aut [-h] [--format {tsv,json}] [--table TABLE] file\n"
+     "fdcalc aut: error: argument --format: invalid choice: 'xml'"
+     " (choose from 'tsv', 'json')\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stderr", PARSE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in PARSE_ERRORS])
+def test_parse_errors_are_pinned(files, argv, stderr, monkeypatch):
+    argv = [files.get(a, a) for a in argv]
+    assert _parse_exit(argv, monkeypatch) == (2, "", stderr)
 
 
 CYCLIC_ALG = json.dumps({

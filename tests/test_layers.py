@@ -5,11 +5,13 @@ their isomorphisms, the census and its orbit engine, wiring, series and
 coverings) needs no numbers beyond exact rationals.  The numeric layer
 (``algebra``, ``gaussian``) adds tensor amplitudes and Gaussian averages,
 and the front end (``verify``, ``cli``) sits on both.  The package
-``__init__`` and the front end import the numeric layer only inside the
-functions that use it, never at module level, and the numeric layer imports
-numpy only inside its float branches and the functions that hand out
-arrays, so that a command or an import that computes with exact rationals
-alone loads no numpy.  A private name stays in its module.
+``__init__`` imports none of its modules at module level: it serves each
+public name and submodule on first use.  The front end imports at module
+level only what all its commands or checks share, and the rest, the
+numeric layer among it, inside the functions that use it.  The numeric
+layer imports numpy only inside its float branches and the functions that
+hand out arrays, so that a command or an import that computes with exact
+rationals alone loads no numpy.  A private name stays in its module.
 """
 import ast
 import importlib
@@ -88,10 +90,16 @@ def test_only_the_numeric_layer_imports_numpy(name):
     assert not numpy or name in LAYERS[1]
 
 
+# The siblings that the package ``__init__`` and the front end may import
+# at module level: what every command, or every check, uses.
+EAGER = {"__init__": set(), "cli": {"colours", "diagram", "dsl"},
+         "verify": LAYERS[0] - {"coverings"}}
+
+
 @pytest.mark.parametrize("name", ["__init__", "cli", "verify"])
 def test_numeric_layer_is_imported_only_where_used(name):
-    eager = [m for m, _ in _imports(name, top_level=True) if m in LAYERS[1]]
-    assert eager == []
+    eager = {m for m, _ in _imports(name, top_level=True) if m in RANK}
+    assert eager <= EAGER[name]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -176,6 +184,28 @@ def test_star_import_and_dir_list_every_name():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         fdcalc.no_such_name
+
+
+def test_bare_import_loads_no_module():
+    done = run_python("-c", "import sys, fdcalc; print(sorted("
+                            "m for m in sys.modules if m.startswith('fdcalc')))")
+    assert (done.returncode, done.stdout) == (0, "['fdcalc']\n")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_is_served_as_an_attribute(name):
+    # Called directly, since a module already imported is bound to the
+    # package without it.
+    assert fdcalc.__getattr__(name) is importlib.import_module(
+        f"fdcalc.{name}")
+
+
+def test_submodules_are_attributes_after_a_bare_import():
+    done = run_python("-c", "import fdcalc; "
+                            "print(fdcalc.generate.MAX_CLOSURE_LEGS, "
+                            "fdcalc.prop.closures is fdcalc.closures, "
+                            "fdcalc.iso.__name__)")
+    assert (done.returncode, done.stdout) == (0, "16 True fdcalc.iso\n")
 
 
 def test_bare_import_leaves_numpy_unloaded():
