@@ -15,7 +15,7 @@ valence to a diagram's degree; special vertices contribute nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -30,13 +30,13 @@ class ColourTableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ColourEntry:
-    name: str
-    kind: str  # "coupon" | "cyclic" | "symmetric"
-    arity: Arity  # (m, n) for coupon, valence otherwise
-    special: bool = False
-    bold: str | None = None  # special partner, ordinary colours only
+class ColourEntry(namedtuple("ColourEntry", "name kind arity special bold",
+                             defaults=(False, None))):
+    """A colour: its ``kind`` ("coupon", "cyclic" or "symmetric"), its
+    ``arity`` ((m, n) for coupon, the valence otherwise), and ``bold``, the
+    special partner of an ordinary colour."""
+
+    __slots__ = ()
 
     @property
     def valence(self) -> int:

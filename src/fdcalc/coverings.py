@@ -14,7 +14,7 @@ numbered open piece and its complement (degree cuts!), and colouring the
 edges of a closed diagram with a finite palette (degree n^edges).
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -31,20 +31,13 @@ class CoveringError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FibreClass:
-    rep: object
-    aut: int
-    count: int
+class FibreClass(namedtuple("FibreClass", "rep aut count")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoveringInstance:
-    kind: str
-    degree: int
-    base_rep: object
-    base_aut: int
-    classes: tuple[FibreClass, ...]
+class CoveringInstance(namedtuple(
+        "CoveringInstance", "kind degree base_rep base_aut classes")):
+    __slots__ = ()
 
     def cardinality_ok(self) -> bool:
         """Orbit sizes must tile the fibre and pair off against |Aut|."""
@@ -53,12 +46,9 @@ class CoveringInstance:
                         for c in self.classes))
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    cardinality: bool
-    pullback: bool
-    fubini: bool
-    pushpull: bool
+class CoveringReport(namedtuple(
+        "CoveringReport", "cardinality pullback fubini pushpull")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -133,7 +123,7 @@ def numbering_covering(d: Diagram, n_in: int = 0) -> CoveringInstance:
 # -- cutting at a marked root ----------------------------------------------------
 
 def _unmarked(v: Vertex) -> Vertex:
-    return replace(v, root=False) if v.root else v
+    return Vertex(v.kind, v.colour, v.slots, v.n_in, v.special) if v.root else v
 
 
 def cut_covering(psi: Diagram) -> CoveringInstance:

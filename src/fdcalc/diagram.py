@@ -28,7 +28,7 @@ All types are frozen; every operation returns new values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .colours import KIND_SHORT, ColourTable
@@ -42,8 +42,7 @@ def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
     return min((seq[i:] + seq[:i] for i in range(len(seq))), default=seq)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(namedtuple("Vertex", "kind colour slots n_in special root")):
     """One internal vertex: a kind, a colour and its half-edge slots.
 
     Slots are stored in a normal form under the kind's symmetry (sorted for
@@ -51,26 +50,23 @@ class Vertex:
     vertices compare equal; relabelling re-normalizes.
     """
 
-    kind: str
-    colour: str
-    slots: tuple[int, ...]
-    n_in: int | None = None
-    special: bool = False
-    root: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KIND_SHORT:
-            raise DiagramError(f"unknown vertex kind {self.kind!r}")
-        if len(set(self.slots)) != len(self.slots):
-            raise DiagramError(f"duplicate slot in vertex {self.colour!r}")
-        if self.kind == "coupon":
-            if self.n_in is None or not (0 <= self.n_in <= len(self.slots)):
+    def __new__(cls, kind: str, colour: str, slots: tuple[int, ...],
+                n_in: int | None = None, special: bool = False,
+                root: bool = False):
+        if kind not in KIND_SHORT:
+            raise DiagramError(f"unknown vertex kind {kind!r}")
+        if len(set(slots)) != len(slots):
+            raise DiagramError(f"duplicate slot in vertex {colour!r}")
+        if kind == "coupon":
+            if n_in is None or not (0 <= n_in <= len(slots)):
                 raise DiagramError("coupon vertex needs n_in within its slot list")
         else:
-            if self.n_in is not None:
-                raise DiagramError(f"{self.kind} vertex takes no n_in")
-            norm = tuple(sorted(self.slots)) if self.kind == "symmetric" else _min_rotation(self.slots)
-            object.__setattr__(self, "slots", norm)
+            if n_in is not None:
+                raise DiagramError(f"{kind} vertex takes no n_in")
+            slots = tuple(sorted(slots)) if kind == "symmetric" else _min_rotation(slots)
+        return super().__new__(cls, kind, colour, slots, n_in, special, root)
 
     @property
     def valence(self) -> int:
@@ -95,35 +91,36 @@ def _norm_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    vertices: tuple[Vertex, ...] = ()
-    pairs: frozenset[tuple[int, int]] = frozenset()
-    root_pairs: frozenset[tuple[int, int]] = frozenset()
+class Diagram(namedtuple("Diagram", "vertices pairs root_pairs")):
+    # No ``__slots__``: the cached properties below live in the instance
+    # ``__dict__``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "pairs", frozenset(_norm_pair(*p) for p in self.pairs))
-        object.__setattr__(self, "root_pairs", frozenset(_norm_pair(*p) for p in self.root_pairs))
+    def __new__(cls, vertices: tuple[Vertex, ...] = (),
+                pairs: frozenset[tuple[int, int]] = frozenset(),
+                root_pairs: frozenset[tuple[int, int]] = frozenset()):
+        vertices = tuple(vertices)
+        pairs = frozenset(_norm_pair(*p) for p in pairs)
+        root_pairs = frozenset(_norm_pair(*p) for p in root_pairs)
         slot_owner: dict[int, int] = {}
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             for h in v.slots:
                 if h in slot_owner:
                     raise DiagramError(f"half-edge {h} used by two slots")
                 slot_owner[h] = i
         seen: set[int] = set()
-        for a, b in self.pairs:
+        for a, b in pairs:
             for h in (a, b):
                 if h in seen:
                     raise DiagramError(f"half-edge {h} matched twice")
                 seen.add(h)
-        for a, b in self.pairs:
+        for a, b in pairs:
             if (a in slot_owner) != (b in slot_owner):
                 raise DiagramError(
                     f"pair ({a},{b}) mixes a vertex slot with a free half-edge; "
                     "vertex-to-endpoint edges are a single unmatched slot")
-        if not self.root_pairs <= self.pairs:
+        if not root_pairs <= pairs:
             raise DiagramError("root_pairs must be a subset of pairs")
+        return super().__new__(cls, vertices, pairs, root_pairs)
 
     @cached_property
     def _slot_owner(self) -> dict[int, int]:
@@ -167,22 +164,20 @@ class Diagram:
 EMPTY = Diagram()
 
 
-@dataclass(frozen=True)
-class TypedDiagram:
+class TypedDiagram(namedtuple("TypedDiagram", "base ins outs")):
     """A diagram with its legs enumerated as numbered inputs and outputs."""
 
-    base: Diagram
-    ins: tuple[int, ...] = ()
-    outs: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ins", tuple(self.ins))
-        object.__setattr__(self, "outs", tuple(self.outs))
-        named = list(self.ins) + list(self.outs)
+    def __new__(cls, base: Diagram, ins: tuple[int, ...] = (),
+                outs: tuple[int, ...] = ()):
+        ins, outs = tuple(ins), tuple(outs)
+        named = ins + outs
         if len(set(named)) != len(named):
             raise DiagramError("a leg may carry at most one endpoint number")
-        if sorted(named) != sorted(self.base.legs):
+        if sorted(named) != sorted(base.legs):
             raise DiagramError("ins/outs must enumerate the legs exactly")
+        return super().__new__(cls, base, ins, outs)
 
     @property
     def src(self) -> int:
@@ -193,21 +188,20 @@ class TypedDiagram:
         return len(self.outs)
 
 
-@dataclass(frozen=True)
-class EdgeColouring:
+class EdgeColouring(namedtuple("EdgeColouring", "base eta")):
     """A diagram plus a basis index on each internal edge."""
 
-    base: Diagram
-    eta: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        eta = tuple(sorted((tuple(sorted(p)), c) for p, c in dict(self.eta).items()))
-        object.__setattr__(self, "eta", eta)
-        internal = sorted(self.base.pairs - self.base.bare_pairs)
-        if [p for p, _ in self.eta] != internal:
+    def __new__(cls, base: Diagram,
+                eta: tuple[tuple[tuple[int, int], int], ...]):
+        eta = tuple(sorted((tuple(sorted(p)), c) for p, c in dict(eta).items()))
+        internal = sorted(base.pairs - base.bare_pairs)
+        if [p for p, _ in eta] != internal:
             raise DiagramError("a colouring must cover the internal edges exactly")
-        if any(c < 0 for _, c in self.eta):
+        if any(c < 0 for _, c in eta):
             raise DiagramError("colour indices start at 0")
+        return super().__new__(cls, base, eta)
 
 
 def expand_colourings(d: Diagram, dim: int) -> list[EdgeColouring]:

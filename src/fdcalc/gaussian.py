@@ -14,7 +14,7 @@ quadrature, and the public arrays: ``wick_moment`` and the ``pairing`` and
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, pi, prod, sqrt
@@ -266,12 +266,8 @@ def average_with_potential(f: Poly, a: AlgebraSpec,
 
 # -- holding the roads against each other --------------------------------------
 
-@dataclass(frozen=True)
-class FrtReport:
-    match: bool
-    lhs: MultiSeries
-    rhs: MultiSeries
-    diff: object
+class FrtReport(namedtuple("FrtReport", "match lhs rhs diff")):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         keys = sorted(set(self.lhs.coeffs) | set(self.rhs.coeffs))
@@ -318,10 +314,8 @@ def frt_check(g: Diagram, a: AlgebraSpec, *, with_potential: bool = False,
     return FrtReport(match, lhs, rhs, diff)
 
 
-@dataclass(frozen=True)
-class TaylorReport:
-    groupoid_sum: object
-    direct_value: object
+class TaylorReport(namedtuple("TaylorReport", "groupoid_sum direct_value")):
+    __slots__ = ()
 
 
 def taylor_stars(phi: Poly, v) -> TaylorReport:

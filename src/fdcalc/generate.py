@@ -51,8 +51,7 @@ after ``MAX_STAR_MULTISETS`` multisets.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache, partial, reduce
 from math import factorial, prod
@@ -69,14 +68,11 @@ MAX_CLOSURE_LEGS = 16
 MAX_STAR_MULTISETS = 100
 
 
-@dataclass(frozen=True)
-class DiagramClass:
-    """One isomorphism class: a representative, its |Aut| and its degree."""
+class DiagramClass(namedtuple("DiagramClass", "rep aut degree key")):
+    """One isomorphism class: a representative, its |Aut|, its degree and
+    its canonical code."""
 
-    rep: Diagram
-    aut: int
-    degree: int
-    key: bytes
+    __slots__ = ()
 
     def __repr__(self):
         return f"DiagramClass(degree={self.degree}, aut={self.aut})"

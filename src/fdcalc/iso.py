@@ -46,16 +46,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .diagram import Diagram, TypedDiagram
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    code: bytes
-    aut_order: int
+class CanonicalCode(namedtuple("CanonicalCode", "code aut_order")):
+    __slots__ = ()
 
 
 def _leg_tokens(t: TypedDiagram) -> dict[int, int]:
@@ -120,9 +117,10 @@ def _orbits(n: int, gens: list[list[int]], path: list[int]) -> list[int] | None:
 
 
 def _search(d: Diagram, tok: dict[int, int]
-            ) -> tuple[tuple, int, list[dict[int, int]]]:
+            ) -> tuple[tuple, int, dict[int, int], list[list[int]]]:
     """Canonical form and automorphism count of the slot structure of ``d``,
-    with the automorphisms the search found as maps of slot half-edges."""
+    with the position of each slot half-edge and the automorphisms the
+    search found, each a list of image positions."""
     partner = d.partner
     sigs = [(v.kind, -1 if v.n_in is None else v.n_in, v.colour, v.special,
              v.root, len(v.slots)) for v in d.vertices]
@@ -161,7 +159,7 @@ def _search(d: Diagram, tok: dict[int, int]
     count = math.prod(map(math.factorial, isolated.values()))
     layout = (tuple(kinds), tuple(sorted(isolated.items())))
     if not n:
-        return layout + ((), ()), count, []
+        return layout + ((), ()), count, index, []
     part = [index[partner[h]] if h in partner else -1 for h in index]
 
     # Tag: 0 untyped leg, 1 edge, 2 root edge, above 2 an endpoint number.
@@ -249,9 +247,7 @@ def _search(d: Diagram, tok: dict[int, int]
         return depth - 1
 
     node(*_refine(col, len(runs), part, nxt, prv, grp, groups), [], True)
-    halves = list(index)
-    maps = [dict(zip(halves, map(halves.__getitem__, g))) for g in gens]
-    return layout + (tuple(runs), best[0]), count * aut, maps
+    return layout + (tuple(runs), best[0]), count * aut, index, gens
 
 
 def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
@@ -262,10 +258,10 @@ def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
         head = ("T", d.src, d.tgt)
         tail = tuple(sorted(tuple(sorted((tok[a], tok[b])))
                             for a, b in base.bare_pairs))
-        body, count, _ = _search(base, tok)
+        body, count, _, _ = _search(base, tok)
     else:
         head, tail = ("D",), len(d.bare_pairs)
-        body, count, _ = _search(d, {})
+        body, count, _, _ = _search(d, {})
         count *= _bare_factor(d)
     return CanonicalCode(repr(head + body + (tail,)).encode(), count)
 
@@ -278,7 +274,9 @@ def automorphism_generators(d: Diagram) -> tuple[int, list[dict[int, int]]]:
     They are the automorphisms the canonical search of ``d`` finds; |Aut| is
     their group's order times the valence-0 and bare-edge factors.
     """
-    _, count, maps = _search(d, {})
+    _, count, index, gens = _search(d, {})
+    halves = list(index)
+    maps = [dict(zip(halves, map(halves.__getitem__, g))) for g in gens]
     return count * _bare_factor(d), maps
 
 

@@ -22,7 +22,7 @@ classes of ``enumerate_closed`` and gives the same series.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -35,16 +35,16 @@ DEFAULT_DEGREE = 12
 Monomial = tuple  # tuple of (VariableKey, positive exponent), sorted
 
 
-@dataclass(frozen=True, order=True)
-class VariableKey:
-    """A formal variable with the grade its exponents weigh in at."""
+class VariableKey(namedtuple("VariableKey", "name grade")):
+    """A formal variable with the grade its exponents weigh in at; keys
+    order by (name, grade)."""
 
-    name: str
-    grade: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.grade < 1:
-            raise ValueError(f"variable {self.name!r} needs a positive grade")
+    def __new__(cls, name: str, grade: int = 1):
+        if grade < 1:
+            raise ValueError(f"variable {name!r} needs a positive grade")
+        return super().__new__(cls, name, grade)
 
 
 def _mono_weight(m: Monomial) -> int:

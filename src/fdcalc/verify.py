@@ -13,7 +13,7 @@ which loads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -33,11 +33,8 @@ TAYLOR_CASES = 20
 _SEED = 971203
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    lines: tuple[str, ...]
+class CheckResult(namedtuple("CheckResult", "name ok lines")):
+    __slots__ = ()
 
 
 def _random_pd(rng: random.Random, dim: int) -> list[list[Fraction]]:

@@ -32,6 +32,14 @@ edge a.3 - b.3;
 
 STAR4_SRC = "vertex a sym PHI4 legs 4;\n"
 
+# Three (2,2) coupons, two of them joined: 10 legs, 799 closure classes.
+COUPONS_SRC = """
+vertex a coupon(2,2) t22 legs 4;
+vertex b coupon(2,2) t22 legs 4;
+vertex c coupon(2,2) t22 legs 4;
+edge a.3 - b.1;
+"""
+
 IDPAIR_SRC = """
 type (1,1)
 wire w;
@@ -88,8 +96,11 @@ def files(tmp_path):
     paths = {}
     for name, text in (("theta.fd", THETA_SRC), ("star4.fd", STAR4_SRC),
                        ("idpair.fd", IDPAIR_SRC),
+                       ("coupons.fd", COUPONS_SRC),
                        ("quartic.tbl", format_table(quartic_table())),
-                       ("quartic.alg", QUARTIC_ALG),
+                       ("cyclic.tbl", format_table(cyclic_table())),
+                       ("coupon.tbl", format_table(coupon_table())),
+                       ("quartic.alg", QUARTIC_ALG), ("exact.alg", EXACT_ALG),
                        ("float.alg", FLOAT_ALG), ("ortho.alg", ORTHO_ALG)):
         p = tmp_path / name
         p.write_text(text)
@@ -523,18 +534,21 @@ def test_only_numeric_commands_load_numpy(files, argv, numpy):
     code = ("import sys\n"
             "from fdcalc.cli import main\n"
             "rc = main(sys.argv[1:])\n"
+            "assert 'dataclasses' not in sys.modules\n"
             "print('numpy' in sys.modules, file=sys.stderr)\n"
             "sys.exit(rc)\n")
     done = run_python("-c", code, *argv)
-    assert done.returncode == 0
+    assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == str(numpy)
 
 
 # Each command and what it loads past what every command loads (``cli``
 # and the colour, diagram and file-format modules): the fdcalc modules by
-# their bare names, and ``json``.  No other fdcalc module loads.
+# their bare names, and ``json``.  No other fdcalc module loads, and no
+# command loads ``dataclasses``.
 EVERY_COMMAND = {"cli", "colours", "diagram", "dsl"}
 CENSUS = {"generate", "iso", "series"}
+NUMERIC = CENSUS | {"algebra", "gaussian", "json", "poly", "verify"}
 MODULE_USE = [
     (["aut", "theta.fd"], {"iso"}),
     (["aut", "theta.fd", "--format", "json"], {"iso", "json"}),
@@ -550,6 +564,9 @@ MODULE_USE = [
      CENSUS | {"coverings", "poly", "prop", "verify"}),
     (["partition", "--algebra", "quartic.alg", "--max-degree", "8"],
      CENSUS | {"algebra", "json", "poly"}),
+    (["verify", "wick"], NUMERIC),
+    (["verify", "frt", "--algebra", "quartic.alg"], NUMERIC),
+    (["verify", "taylor"], NUMERIC),
 ]
 
 
@@ -560,14 +577,39 @@ def test_each_command_loads_only_its_modules(files, argv, loaded):
     code = ("import sys\n"
             "from fdcalc.cli import main\n"
             "rc = main(sys.argv[1:])\n"
+            "assert 'dataclasses' not in sys.modules\n"
             "print(*sorted(m.removeprefix('fdcalc.') for m in sys.modules\n"
             "              if m.startswith('fdcalc.') or m == 'json'),\n"
             "      file=sys.stderr)\n"
             "sys.exit(rc)\n")
     done = run_python("-c", code, *argv)
-    assert done.returncode == 0
+    assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1].split() == sorted(
         EVERY_COMMAND | loaded)
+
+
+# Commands whose work passes through sets and dicts of diagrams, colours
+# and variables, which iterate in hash order, and string hashes change
+# with ``PYTHONHASHSEED``.
+RERUNS = [
+    ["enumerate", "--table", "cyclic.tbl", "--max-degree", "12",
+     "--connected"],
+    ["closures", "coupons.fd", "--table", "coupon.tbl"],
+    ["free-energy", "--algebra", "exact.alg", "--max-degree", "12"],
+    ["verify", "fubini"],
+]
+
+
+@pytest.mark.parametrize("argv", RERUNS, ids=lambda v: " ".join(v[:2]))
+def test_reruns_print_the_same_bytes(files, argv, monkeypatch):
+    argv = [files.get(a, a) for a in argv]
+    outs = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        done = run_python("-m", "fdcalc.cli", *argv)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 # The argv before ``--help`` of each screen in ``cli_help.txt``.

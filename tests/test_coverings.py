@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,7 +23,8 @@ def rooted_figure_eight() -> Diagram:
 
 
 def unmark(d: Diagram) -> Diagram:
-    return Diagram(tuple(replace(v, root=False) for v in d.vertices), d.pairs)
+    return Diagram(tuple(Vertex(v.kind, v.colour, v.slots, v.n_in, v.special)
+                         for v in d.vertices), d.pairs)
 
 
 # -- dropping the numbering ------------------------------------------------------
