@@ -181,7 +181,14 @@ def _cmd_verify_frt(args):
 
 # -- wiring ------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(want: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser, holding only the subparser that ``want``, a run's first
+    two arguments, names (a command, then a check), else every subparser,
+    so that each help screen and error reads the same."""
+    def add(sub, level: int, name: str, **kwargs):
+        if want is None or want[level:level + 1] == [name]:
+            return sub.add_parser(name, **kwargs)
+
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("tsv", "json"), default="tsv",
                      help="output as tab-separated rows (default) or JSON")
@@ -190,93 +197,99 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fdcalc", description="diagram calculus toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("aut", parents=[fmt],
-                       help="automorphism count and canonical code")
-    q.add_argument("file")
-    q.add_argument("--table", help="colour table fixing special colours")
-    q.set_defaults(handler=_cmd_aut)
+    if q := add(sub, 0, "aut", parents=[fmt],
+                help="automorphism count and canonical code"):
+        q.add_argument("file")
+        q.add_argument("--table", help="colour table fixing special colours")
+        q.set_defaults(handler=_cmd_aut)
 
     for name, blurb in (
             ("compose", "plug the second diagram's outputs"
              " into the first diagram's inputs"),
             ("tensor", "place two typed diagrams side by side")):
-        q = sub.add_parser(name, parents=[fmt], help=blurb)
-        q.add_argument("first")
-        q.add_argument("second")
+        if q := add(sub, 0, name, parents=[fmt], help=blurb):
+            q.add_argument("first")
+            q.add_argument("second")
+            q.add_argument("--table")
+            q.set_defaults(handler=_cmd_wire)
+
+    if q := add(sub, 0, "closures", parents=[fmt],
+                help="close off the legs in every possible way"):
+        q.add_argument("file")
         q.add_argument("--table")
-        q.set_defaults(handler=_cmd_wire)
+        q.set_defaults(handler=_cmd_closures)
 
-    q = sub.add_parser("closures", parents=[fmt],
-                       help="close off the legs in every possible way")
-    q.add_argument("file")
-    q.add_argument("--table")
-    q.set_defaults(handler=_cmd_closures)
-
-    q = sub.add_parser("enumerate", parents=[fmt],
-                       help="closed diagram classes up to a degree")
-    q.add_argument("--table", required=True)
-    q.add_argument("--max-degree", type=int, required=True)
-    q.add_argument("--connected", action="store_true")
-    q.add_argument("--reduced", action="store_true")
-    q.add_argument("--root", help="diagram file whose marked copy every"
-                                  " class must contain")
-    q.set_defaults(handler=_cmd_enumerate)
+    if q := add(sub, 0, "enumerate", parents=[fmt],
+                help="closed diagram classes up to a degree"):
+        q.add_argument("--table", required=True)
+        q.add_argument("--max-degree", type=int, required=True)
+        q.add_argument("--connected", action="store_true")
+        q.add_argument("--reduced", action="store_true")
+        q.add_argument("--root", help="diagram file whose marked copy every"
+                                      " class must contain")
+        q.set_defaults(handler=_cmd_enumerate)
 
     for name, of_z, blurb in (
             ("partition", lambda z: z,
              "series of all closed diagrams weighted by 1/|Aut|"),
             ("free-energy", lambda z: z.log(),
              "series of connected closed diagrams weighted by 1/|Aut|")):
-        q = sub.add_parser(name, parents=[fmt], help=blurb)
-        q.add_argument("--table")
-        q.add_argument("--algebra")
-        q.add_argument("--max-degree", type=int, required=True)
-        q.set_defaults(handler=_cmd_series, of_z=of_z)
+        if q := add(sub, 0, name, parents=[fmt], help=blurb):
+            q.add_argument("--table")
+            q.add_argument("--algebra")
+            q.add_argument("--max-degree", type=int, required=True)
+            q.set_defaults(handler=_cmd_series, of_z=of_z)
 
-    q = sub.add_parser("expect", parents=[fmt],
-                       help="expectation of a diagram in an algebra")
-    q.add_argument("file")
-    q.add_argument("--algebra", required=True)
-    q.add_argument("--potential", action="store_true",
-                   help="weight by the interaction sum of the colour table")
-    q.add_argument("--max-degree", type=int, default=12)
-    q.set_defaults(handler=_cmd_expect)
+    if q := add(sub, 0, "expect", parents=[fmt],
+                help="expectation of a diagram in an algebra"):
+        q.add_argument("file")
+        q.add_argument("--algebra", required=True)
+        q.add_argument("--potential", action="store_true",
+                       help="weight by the interaction sum of the colour table")
+        q.add_argument("--max-degree", type=int, default=12)
+        q.set_defaults(handler=_cmd_expect)
 
-    v = sub.add_parser("verify", help="built-in cross-checks")
-    vsub = v.add_subparsers(dest="check", required=True)
+    if v := add(sub, 0, "verify", help="built-in cross-checks"):
+        vsub = v.add_subparsers(dest="check", required=True)
 
-    q = vsub.add_parser("wick", parents=[fmt],
-                        help="moment recursion against quadrature")
-    q.set_defaults(handler=_cmd_verify_fixed, check="check_wick")
+        if q := add(vsub, 1, "wick", parents=[fmt],
+                    help="moment recursion against quadrature"):
+            q.set_defaults(handler=_cmd_verify_fixed, check="check_wick")
 
-    q = vsub.add_parser("frt", parents=[fmt],
-                        help="diagram sum against the Gaussian average")
-    q.add_argument("--algebra", required=True)
-    q.add_argument("--root", help="open diagram file to take the"
-                                  " expectation of")
-    q.add_argument("--potential", action="store_true")
-    q.add_argument("--max-degree", type=int, default=8)
-    q.set_defaults(handler=_cmd_verify_frt)
+        if q := add(vsub, 1, "frt", parents=[fmt],
+                    help="diagram sum against the Gaussian average"):
+            q.add_argument("--algebra", required=True)
+            q.add_argument("--root", help="open diagram file to take the"
+                                          " expectation of")
+            q.add_argument("--potential", action="store_true")
+            q.add_argument("--max-degree", type=int, default=8)
+            q.set_defaults(handler=_cmd_verify_frt)
 
-    q = vsub.add_parser("expfz", parents=[fmt],
-                        help="exp of the connected sum against the full sum")
-    q.add_argument("--table", required=True)
-    q.add_argument("--max-degree", type=int, default=8)
-    q.set_defaults(handler=_cmd_verify_expfz)
+        if q := add(vsub, 1, "expfz", parents=[fmt],
+                    help="exp of the connected sum against the full sum"):
+            q.add_argument("--table", required=True)
+            q.add_argument("--max-degree", type=int, default=8)
+            q.set_defaults(handler=_cmd_verify_expfz)
 
-    q = vsub.add_parser("fubini", parents=[fmt],
-                        help="integration identities on stock coverings")
-    q.set_defaults(handler=_cmd_verify_fixed, check="check_coverings")
+        if q := add(vsub, 1, "fubini", parents=[fmt],
+                    help="integration identities on stock coverings"):
+            q.set_defaults(handler=_cmd_verify_fixed, check="check_coverings")
 
-    q = vsub.add_parser("taylor", parents=[fmt],
-                        help="star-diagram Taylor sums against evaluation")
-    q.set_defaults(handler=_cmd_verify_fixed, check="check_taylor")
+        if q := add(vsub, 1, "taylor", parents=[fmt],
+                    help="star-diagram Taylor sums against evaluation"):
+            q.set_defaults(handler=_cmd_verify_fixed, check="check_taylor")
 
+    # No command named, or ``verify`` with no check named.
+    if want is not None and not (vsub if v else sub).choices:
+        return _build_parser()
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, unknown = _build_parser(argv[:2]).parse_known_args(argv)
+    if unknown:
+        _build_parser().parse_args(argv)  # exits with the full usage
     try:
         rows, obj, rc = args.handler(args)
     except _ERRORS as exc:

@@ -11,6 +11,9 @@ sub-diagram onto itself.
 half-edges, after McKay & Piperno, *Practical graph isomorphism II* (J. Symb.
 Comput. 2014) and Junttila & Kaski's *bliss* (ALENEX 2007).
 
+* The vertices alone fix the slot positions, the vertex part of the initial
+  colours and what refinement reads of them.  This layout is kept for the
+  last vertex tuple, which all the closures of one piece share.
 * A half-edge's initial colour holds its vertex's kind, ``n_in``, colour,
   special and root flags and valence, its coupon position, its endpoint
   number (typed legs), leg mark or edge mark (root edge or not), and the
@@ -28,13 +31,14 @@ Comput. 2014) and Junttila & Kaski's *bliss* (ALENEX 2007).
   numberings, with the sorted initial colours, is the code.
 * Two leaves with equal forms differ by an automorphism.  A node skips the
   children that an automorphism fixing its branch maps onto a child already
-  searched, and a leaf equal to the first or the best leaf abandons the
-  search back to the node where the two branches split.  |Aut| is the product
-  over the first branch of the orbit of each individualised half-edge under
-  the automorphisms that fix the ones individualised above it
-  (orbit-stabiliser).  Since that count is exact, the automorphisms found
-  generate the whole group on the slot half-edges;
-  ``automorphism_generators`` returns them with |Aut|.
+  searched: it grows their orbits from the generators that fix its branch,
+  as children are tried and as generators are found.  A leaf equal to the
+  first or the best leaf abandons the search back to the node where the two
+  branches split.  |Aut| is the product over the first branch of the orbit
+  of each individualised half-edge under the automorphisms that fix the
+  ones individualised above it (orbit-stabiliser).  Since that count is
+  exact, the automorphisms found generate the whole group on the slot
+  half-edges; ``automorphism_generators`` returns them with |Aut|.
 
 Valence-0 vertices and untyped bare edges own no slots.  They enter the code
 as counts, and |Aut| gains k! for each group of k equal valence-0 vertices
@@ -47,6 +51,7 @@ import itertools
 import math
 import operator
 from collections import Counter, namedtuple
+from types import MappingProxyType
 
 from .diagram import Diagram, TypedDiagram
 
@@ -94,36 +99,30 @@ def _refine(col: list[int], cells: int, part: list[int], nxt: list[int],
     return col, cells
 
 
-def _orbits(n: int, gens: list[list[int]], path: list[int]) -> list[int] | None:
-    """Orbit representative of each half-edge under the automorphisms in
-    ``gens`` that fix ``path`` pointwise; None when none of them does."""
-    fixing = [g for g in gens if all(g[p] == p for p in path)]
-    if not fixing:
-        return None
-    root = list(range(n))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for g in fixing:
-        for a, b in enumerate(g):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[ra] = rb
-    return [find(a) for a in range(n)]
+def _grow(reach: set[int], todo: list[int], gens: list[list[int]]) -> None:
+    """Add ``todo`` (not yet in ``reach``) and its orbits under ``gens``."""
+    reach.update(todo)
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            b = g[a]
+            if b not in reach:
+                reach.add(b)
+                todo.append(b)
 
 
-def _search(d: Diagram, tok: dict[int, int]
-            ) -> tuple[tuple, int, dict[int, int], list[list[int]]]:
-    """Canonical form and automorphism count of the slot structure of ``d``,
-    with the position of each slot half-edge and the automorphisms the
-    search found, each a list of image positions."""
-    partner = d.partner
+_last = (None, None)  # the vertex tuple laid out last, and its layout
+
+
+def _layout(vertices: tuple) -> tuple:
+    """The search's immutable set-up that depends on the vertices alone.  The
+    last tuple laid out is kept, keyed by identity: equal tuples may print
+    differently (``True`` against ``1``)."""
+    global _last
+    if (last := _last)[0] is vertices:
+        return last[1]
     sigs = [(v.kind, -1 if v.n_in is None else v.n_in, v.colour, v.special,
-             v.root, len(v.slots)) for v in d.vertices]
+             v.root, len(v.slots)) for v in vertices]
     kinds = sorted(set(sigs))
     rank = {s: r for r, s in enumerate(kinds)}
     index: dict[int, int] = {}
@@ -135,7 +134,7 @@ def _search(d: Diagram, tok: dict[int, int]
     grp: list[int] = []
     groups: list[range] = []
     isolated: dict[int, int] = {}
-    for vi, (v, sig) in enumerate(zip(d.vertices, sigs)):
+    for vi, (v, sig) in enumerate(zip(vertices, sigs)):
         k = sig[5]
         if not k:
             isolated[rank[sig]] = isolated.get(rank[sig], 0) + 1
@@ -155,21 +154,35 @@ def _search(d: Diagram, tok: dict[int, int]
             grp.extend([-1] * k)
             nxt.extend(base + (j + 1) % k for j in range(k))
             prv.extend(base + (j - 1) % k for j in range(k))
-    n = len(own)
-    count = math.prod(map(math.factorial, isolated.values()))
     layout = (tuple(kinds), tuple(sorted(isolated.items())))
+    count = math.prod(map(math.factorial, isolated.values()))
+    laid = (layout, count, len(own), MappingProxyType(index), *map(
+        tuple, (index, rk, pos, own + [-1], nxt, prv, grp, groups)))
+    _last = vertices, laid
+    return laid
+
+
+def _search(d: Diagram, tok: dict[int, int]
+            ) -> tuple[tuple, int, tuple[int, ...], list[list[int]]]:
+    """Canonical form and automorphism count of the slot structure of ``d``,
+    with the slot half-edges in position order and the automorphisms the
+    search found, each a list of image positions."""
+    (layout, count, n, index, halves, rk, pos, own, nxt, prv, grp,
+     groups) = _layout(d.vertices)
     if not n:
-        return layout + ((), ()), count, index, []
-    part = [index[partner[h]] if h in partner else -1 for h in index]
+        return layout + ((), ()), count, halves, []
+    part = [-1] * n
+    for a, b in d.pairs:
+        if a in index:
+            part[index[a]], part[index[b]] = index[b], index[a]
 
     # Tag: 0 untyped leg, 1 edge, 2 root edge, above 2 an endpoint number.
-    tags = [1 if p >= 0 else tok.get(h, 0) for h, p in zip(index, part)]
+    tags = [1 if p >= 0 else tok.get(h, 0) for h, p in zip(halves, part)]
     for a, b in d.root_pairs:
         if a in index:
             tags[index[a]] = tags[index[b]] = 2
     # Bundle sizes and loop flags: refinement on half-edges cannot see that
     # two edges join the same two vertices.
-    own.append(-1)
     ends = list(zip(own, map(own.__getitem__, part)))
     bundle = Counter(ends)
     keys = list(zip(rk, pos, tags, map(bundle.__getitem__, ends),
@@ -220,34 +233,39 @@ def _search(d: Diagram, tok: dict[int, int]
         ordered = sorted(col[:n])
         c = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
         cell = [i for i in range(n) if col[i] == c]
-        tried: list[int] = []
+        # Skip children in the tried ones' orbits under generators fixing path.
+        fixing: list[list[int]] = []
         known = 0
-        orb = None
+        reach: set[int] = set()
         for x in cell:
-            if tried and len(gens) != known:
-                known = len(gens)
-                orb = _orbits(n, gens, path)
-            if orb is not None and orb[x] in {orb[t] for t in tried}:
+            if x in reach:
                 continue
-            tried.append(x)
+            _grow(reach, [x], fixing)
             new = col[:]
             for m in cell:
                 new[m] = c + 1
             new[x] = c
             path.append(x)
             back = node(*_refine(new, cells + 1, part, nxt, prv, grp, groups),
-                        path, on_first and len(tried) == 1)
+                        path, on_first and x == cell[0])
             path.pop()
             if back < depth:
                 return back
+            if len(gens) != known:
+                found = [g for g in gens[known:]
+                         if list(map(g.__getitem__, path)) == path]
+                known = len(gens)
+                fixing.extend(found)
+                _grow(reach, list({g[a] for g in found for a in reach}
+                                  - reach), fixing)
         if on_first:
-            orb = _orbits(n, gens, path)
-            if orb is not None:
-                aut *= orb.count(orb[cell[0]])
+            orbit: set[int] = set()
+            _grow(orbit, [cell[0]], fixing)
+            aut *= len(orbit)
         return depth - 1
 
     node(*_refine(col, len(runs), part, nxt, prv, grp, groups), [], True)
-    return layout + (tuple(runs), best[0]), count * aut, index, gens
+    return layout + (tuple(runs), best[0]), count * aut, halves, gens
 
 
 def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
@@ -274,8 +292,7 @@ def automorphism_generators(d: Diagram) -> tuple[int, list[dict[int, int]]]:
     They are the automorphisms the canonical search of ``d`` finds; |Aut| is
     their group's order times the valence-0 and bare-edge factors.
     """
-    _, count, index, gens = _search(d, {})
-    halves = list(index)
+    _, count, halves, gens = _search(d, {})
     maps = [dict(zip(halves, map(halves.__getitem__, g))) for g in gens]
     return count * _bare_factor(d), maps
 

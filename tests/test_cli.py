@@ -669,6 +669,12 @@ PARSE_ERRORS = [
      "usage: fdcalc aut [-h] [--format {tsv,json}] [--table TABLE] file\n"
      "fdcalc aut: error: argument --format: invalid choice: 'xml'"
      " (choose from 'tsv', 'json')\n"),
+    (["closures", "theta.fd", "--bogus"],
+     "usage: fdcalc [-h]\n"
+     "              {aut,compose,tensor,closures,enumerate,partition,"
+     "free-energy,expect,verify}\n"
+     "              ...\n"
+     "fdcalc: error: unrecognized arguments: --bogus\n"),
 ]
 
 

@@ -8,8 +8,11 @@ from fdcalc.diagram import (
     Diagram, TypedDiagram, Vertex, bare_edge, coupon_star, cyclic_star,
     disjoint_union, mark_root, relabel, symmetric_star,
 )
-from fdcalc.generate import enumerate_closed
-from fdcalc.iso import are_isomorphic, aut_order, canonical_code
+from fdcalc.generate import closure_orbits, enumerate_closed
+from fdcalc.iso import (
+    are_isomorphic, aut_order, automorphism_generators, canonical_code,
+)
+from fdcalc.prop import closures
 
 import util
 from bruteforce import aut_order_bruteforce
@@ -234,6 +237,12 @@ def _census(table) -> list[Diagram]:
     return [c.rep for c in enumerate_closed(table, max_degree=8)]
 
 
+def _rooted_theta() -> Diagram:
+    return Diagram((Vertex("symmetric", "phi3", (0, 1, 2), root=True),
+                    Vertex("symmetric", "phi3", (3, 4, 5))),
+                   frozenset({(0, 3), (1, 4), (2, 5)}))
+
+
 GOLDEN_CODES = {
     "census-quartic-8": (lambda: _census(util.quartic_table()),
         5, "8107494cd2a970975763d4071eac203d706422ac4dc1140bae6febccef409a36"),
@@ -254,10 +263,7 @@ GOLDEN_CODES = {
         TypedDiagram(disjoint_union(cyclic_star("c", 3), bare_edge()),
                      (4, 1), (0, 3, 2))],
         2, "d31cec93b3475254ffbceda2ad0fd77e82567790777c2c1825b770e815feff09"),
-    "rooted-theta": (lambda: [Diagram(
-        (Vertex("symmetric", "phi3", (0, 1, 2), root=True),
-         Vertex("symmetric", "phi3", (3, 4, 5))),
-        frozenset({(0, 3), (1, 4), (2, 5)}))],
+    "rooted-theta": (lambda: [_rooted_theta()],
         1, "e48aa651ab68cca64508b09d0686a170cc74cd8047e8fc3e76ef0f770f1d4e0c"),
 }
 
@@ -271,6 +277,99 @@ def test_golden_code_bytes(name):
         code = canonical_code(d).code
         h.update(len(code).to_bytes(4, "big") + code)
     assert (len(diagrams), h.hexdigest()) == (count, digest)
+
+
+# Whole search results: code bytes with |Aut|, the rows of ``closures``, and
+# the automorphisms ``automorphism_generators`` returns, in list order.
+
+def _coupon_piece() -> Diagram:
+    """Two coupon (2,2) vertices and two cubic vertices joined by one edge:
+    12 legs, as in the benchmark's ``closures`` job."""
+    return Diagram((Vertex("coupon", "t22", (0, 1, 2, 3), n_in=2),
+                    Vertex("coupon", "t22", (4, 5, 6, 7), n_in=2),
+                    Vertex("symmetric", "phi3", (8, 9, 10)),
+                    Vertex("symmetric", "phi3", (11, 12, 13))),
+                   frozenset({(8, 11)}))
+
+
+def _with_isolated() -> Diagram:
+    """A theta beside three valence-0 vertices, two of them equal."""
+    return Diagram(util.theta().vertices + (
+        Vertex("symmetric", "z", ()), Vertex("symmetric", "z", ()),
+        Vertex("cyclic", "y", ())), util.theta().pairs)
+
+
+def _piece_orbits(piece: Diagram) -> list[Diagram]:
+    return [closed for closed, _ in closure_orbits(
+        piece, lambda: automorphism_generators(piece)[1])]
+
+
+def _code_rows(diagrams):
+    for d in diagrams:
+        c = canonical_code(d)
+        yield c.code + b"|%d" % c.aut_order
+
+
+def _closure_rows(d: Diagram):
+    for closed, mult, aut in closures(d):
+        yield canonical_code(closed).code + repr(
+            (mult, aut, sorted(closed.pairs))).encode()
+
+
+def _generator_rows(diagrams):
+    for d in diagrams:
+        count, maps = automorphism_generators(d)
+        yield repr((count, [sorted(m.items()) for m in maps])).encode()
+
+
+GOLDEN_SEARCHES = {
+    "coupon-piece-orbits": (lambda: _code_rows(_piece_orbits(_coupon_piece())),
+        920, "cc205ed2de792161a6d7526818a9a731aad9f09795007c7cbbe153778d816e7a"),
+    "closures-cyclic-10": (lambda: _closure_rows(cyclic_star("c", 10)),
+        105, "f7dad3b1a19151eccf25f09b8e530ec52ad0033918a2ce07e8881e09d23092e6"),
+    "generators": (lambda: _generator_rows([
+        _coupon_piece(), _rooted_theta(), symmetric_star("p", 6),
+        _with_isolated()]),
+        4, "3a633cf6e1a006639be2d1b7be8e41ac3d06b50f2f07c539f0e6697e484fa1c9"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SEARCHES)
+def test_golden_search_bytes(name):
+    make, count, digest = GOLDEN_SEARCHES[name]
+    h = hashlib.sha256()
+    rows = list(make())
+    for row in rows:
+        h.update(len(row).to_bytes(4, "big") + row)
+    assert (len(rows), h.hexdigest()) == (count, digest)
+
+
+def test_search_results_do_not_depend_on_call_order():
+    """Searches in any order give what each gives alone: diagrams that share
+    a vertex tuple, or differ from one only in marks, types or valence-0
+    vertices, get their own codes and generators."""
+    piece = _coupon_piece()
+    first, second = _piece_orbits(piece)[:2]
+    legs = piece.legs
+    mixed = [first, second, mark_root(first),
+             TypedDiagram(piece, legs[:5], legs[5:]), piece,
+             _with_isolated(), Diagram()]
+
+    def results(order):
+        out = {}
+        for i in order:
+            d = mixed[i]
+            gens = None if isinstance(d, TypedDiagram) else \
+                automorphism_generators(d)
+            out[i] = (canonical_code(d), gens)
+        return out
+
+    forwards = results(range(len(mixed)))
+    order = list(range(len(mixed)))
+    random.Random(5).shuffle(order)
+    assert results(reversed(range(len(mixed)))) == forwards
+    assert results(order) == forwards
+    assert results(order + order) == forwards
 
 
 # -- pairs that local invariants cannot separate ----------------------------------
