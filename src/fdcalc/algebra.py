@@ -42,12 +42,11 @@ from .diagram import (
 )
 from .generate import closure_orbits, star_bases
 from .iso import aut_order
-from .poly import Poly, integer_form, invert_exact, is_exact
+from .poly import SYMMETRY_TOL, Poly, integer_form, invert_exact, is_exact
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, diagram_monomial, variable_for,
 )
 
-SYMMETRY_TOL = 1e-10
 COND_LIMIT = 1e12
 
 
@@ -96,11 +95,11 @@ def _transposed(vals, dim: int, perm) -> list:
     return [vals[o] for o in offsets]
 
 
-def _equal(x, y, exact: bool) -> bool:
-    """Entrywise equality, exact or to ``SYMMETRY_TOL``; a NaN is unequal
-    to everything."""
+def _equal(x: list, y: list, exact: bool) -> bool:
+    """Entrywise equality of two lists, exact or to ``SYMMETRY_TOL``; a NaN
+    is unequal to everything."""
     if exact:
-        return all(u == v for u, v in zip(x, y))
+        return x == y
     return all(abs(u - v) <= SYMMETRY_TOL for u, v in zip(x, y))
 
 
@@ -129,9 +128,9 @@ class AlgebraSpec:
     computes exactly, otherwise in doubles.  Cyclic and symmetric tensors
     must carry the invariance their kind promises; this is checked at
     construction on generators of the group: the one rotation, or a
-    transposition plus the rotation.  Exactly, that is the whole group; in
-    doubles each generator is held to ``SYMMETRY_TOL``, and longer words may
-    drift a little more.
+    transposition plus the rotation.  Exactly, that is the whole group,
+    compared on the tensor's integer numerators; in doubles each generator
+    is held to ``SYMMETRY_TOL``, and longer words may drift a little more.
 
     An exact algebra keeps every operand in its integer form and builds the
     numpy arrays ``pairing``, ``copairing``, ``eye`` and ``tensors`` only
@@ -180,21 +179,25 @@ class AlgebraSpec:
                     f"tensors attach to ordinary colours, not {name!r}")
             shape = (dim,) * entry.valence
             flat = _as_tensor(data, shape, self.exact)
+            if self.exact:
+                form = integer_form(flat)
+                vals = list(form[0])
+            else:
+                form = np.array(flat, dtype=float).reshape(shape)
+                vals = flat
             if entry.kind == "cyclic":
                 for perm in _rotations(entry.valence):
-                    if not _equal(flat, _transposed(flat, dim, perm),
+                    if not _equal(vals, _transposed(vals, dim, perm),
                                   self.exact):
                         raise AlgebraError(
                             f"tensor {name!r} is not rotation invariant")
             elif entry.kind == "symmetric":
                 for perm in _permutations(entry.valence):
-                    if not _equal(flat, _transposed(flat, dim, perm),
+                    if not _equal(vals, _transposed(vals, dim, perm),
                                   self.exact):
                         raise AlgebraError(
                             f"tensor {name!r} is not permutation invariant")
-            self._tensors[name] = (
-                integer_form(flat) if self.exact
-                else np.array(flat, dtype=float).reshape(shape))
+            self._tensors[name] = form
 
     def _array(self, form, rank: int):
         """The public array of an operand: a float one is its own array, an

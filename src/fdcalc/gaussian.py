@@ -8,25 +8,37 @@ quadrature after whitening, and the groupoid sums of the diagram modules.
 `frt_check` and `taylor_stars` hold the roads against each other.
 
 Rational inputs stay rational through every pairing sum, and an exact
-weight runs on ``fractions`` alone.  numpy serves float weights, the
-quadrature, and the public arrays: ``wick_moment`` and the ``pairing`` and
-``covariance`` of an exact weight, which are built when first read.
+weight runs on ``fractions`` alone.  ``GaussianSpec.moment``,
+``poly_average`` and the expansion behind ``average_with_potential`` share
+one moment kernel, keyed by packed exponents: a monomial's exponent vector
+is one int, so multiplying monomials adds keys.  An exact average sums
+integer numerators over one power of the covariance denominator and makes
+one Fraction at the end; a float weight runs the same kernel with
+denominator 1, in the summation order of the sorted index lists, so its
+sums keep their bits.  numpy serves float weights, the quadrature, and the
+public arrays: ``wick_moment`` and the ``pairing`` and ``covariance`` of an
+exact weight, which are built when first read.  The diagram side
+(``algebra``, ``iso``, ``series``) is imported by the functions that hold
+the roads against each other, so a weight and its averages load ``poly``
+alone.
 """
 
+from __future__ import annotations
+
 import itertools
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, pi, prod, sqrt
+from typing import TYPE_CHECKING
 
-from .algebra import (SYMMETRY_TOL, AlgebraSpec, amplitude, expectation_value,
-                      leg_polynomial, interaction_terms)
-from .colours import standard_table
-from .diagram import Diagram, Vertex, degree
-from .iso import canonical_code
-from .poly import Poly, integer_form, invert_exact, is_exact
-from .series import (DEFAULT_DEGREE, MultiSeries, Monomial, diagram_monomial,
-                     name_monomial)
+from .poly import SYMMETRY_TOL, Poly, integer_form, invert_exact, is_exact
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraSpec
+    from .diagram import Diagram
+    from .series import Monomial, MultiSeries
 
 WICK_LIMIT = 12
 QUAD_DIM_LIMIT = 4
@@ -34,6 +46,9 @@ POTENTIAL_ORDER_LIMIT = 12
 TAYLOR_DEGREE_LIMIT = 10
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+# The series' default degree bound, restated so that loading this module
+# loads no series code; a test holds the two equal.
+DEFAULT_DEGREE = 12
 
 
 class GaussianError(ValueError):
@@ -51,12 +66,21 @@ class GaussianSpec:
     matrix: it is positive definite exactly when every pivot is reached
     without a row exchange and is positive.  Float entries are checked
     through the leading principal minors.
+
     Moments are polynomials in the inverse matrix, kept exact in rational
     mode: the covariance is held as integer numerators over one denominator
     d, and the moment of order 2k is summed in Python ints over d^k.  A
-    float weight holds ``pairing`` and ``covariance`` as numpy arrays from
-    the start; an exact one builds them as object arrays when they are
-    first read.
+    float weight runs the same code with denominator 1 on its float
+    entries.  One memoized kernel computes every moment, keyed by the
+    packed exponent vector: the exponent of v_i is the digit i of one int,
+    in a base that is a power of two above the largest degree the call can
+    reach, so sums of keys never carry, and the digit above the last holds
+    the total degree.  The kernel pairs the least index present with each
+    index in turn, in ascending order, adding a repeated index's term once
+    per repeat, so a float moment is summed in the order of its sorted
+    index list.  A float weight holds ``pairing`` and ``covariance`` as
+    numpy arrays from the start; an exact one builds them as object arrays
+    when they are first read.
     """
 
     def __init__(self, dim: int, pairing):
@@ -87,10 +111,11 @@ class GaussianSpec:
                 if np.linalg.det(np.array([row[:k] for row in mat[:k]])) <= 0:
                     raise GaussianError("pairing must be positive definite")
             self.pairing = np.array(mat, dtype=float)
-            self.covariance = self._cov = np.linalg.inv(self.pairing)
-        # Moment numerators by sorted index tuple, ints when exact.
-        self._moments: dict[tuple[int, ...], object] = {
-            (): 1 if self.exact else 1.0}
+            self.covariance = np.linalg.inv(self.pairing)
+            self._cov = [list(row) for row in self.covariance]
+            self._den = 1
+        # The moment kernel for each digit width, each with its own memo.
+        self._kernels: dict[int, object] = {}
 
     # A float weight sets both arrays in ``__init__``, which hides these.
     @cached_property
@@ -114,27 +139,105 @@ class GaussianSpec:
 
     def moment(self, idx: tuple[int, ...]):
         """⟨v_{i_1}···v_{i_k}⟩ for a multiset of coordinate indices."""
-        idx = tuple(sorted(idx))
+        idx = [operator.index(i) for i in idx]
         if any(not 0 <= i < self.dim for i in idx):
             raise GaussianError("coordinate index out of range")
-        if len(idx) % 2:
+        k = len(idx)
+        if k % 2:
             return self.zero()
-        m = self._moment(idx)
-        return Fraction(m, self._den ** (len(idx) // 2)) if self.exact else m
+        shift = k.bit_length()
+        key = sum(1 << shift * i for i in idx) + (k << shift * self.dim)
+        return self._scaled(self._kernel(shift)(key), k // 2)
 
-    def _moment(self, idx: tuple[int, ...]):
-        """The moment of a sorted index tuple of even length, as its
-        numerator when exact."""
-        known = self._moments.get(idx)
+    def _scaled(self, m, half: int):
+        """The moment of order 2·``half`` whose numerator is ``m``."""
+        return Fraction(m, self._den ** half) if self.exact else m
+
+    def _kernel(self, shift: int):
+        """The memoized map from a packed key of even degree, with digits
+        ``shift`` bits wide, to its moment numerator."""
+        known = self._kernels.get(shift)
         if known is not None:
             return known
-        first, rest = idx[0], idx[1:]
-        total = 0
-        for j in range(len(rest)):
-            total += (self._cov[first][rest[j]]
-                      * self._moment(rest[:j] + rest[j + 1:]))
-        self._moments[idx] = total
-        return total
+        dim, cov = self.dim, self._cov
+        top = shift * dim
+        mask = (1 << shift) - 1
+        memo = {0: 1 if self.exact else 1.0}
+        # drop[i][j] takes one v_i and one v_j out of a key.
+        drop = [[(1 << shift * i) + (1 << shift * j) + (2 << top)
+                 for j in range(dim)] for i in range(dim)]
+
+        def moment(key: int):
+            total = memo.get(key)
+            if total is not None:
+                return total
+            # Pair the least index present, whose digit holds the lowest
+            # set bit, with each index in turn.
+            i = ((key & -key).bit_length() - 1) // shift
+            row, step = cov[i], drop[i]
+            rest = key - (1 << shift * i)
+            total = 0
+            for j in range(i, dim):
+                count = rest >> shift * j & mask
+                if count:
+                    term = row[j] * moment(key - step[j])
+                    for _ in range(count):
+                        total += term
+            memo[key] = total
+            return total
+
+        self._kernels[shift] = moment
+        return moment
+
+    def _average(self, terms, shift: int, ints: bool):
+        """Σ c·⟨v^e⟩ over the (packed key, coefficient) pairs ``terms``, as
+        a sum and its denominator.
+
+        With ``ints``, for int coefficients over an exact weight, the sum
+        is of Python ints over d^h, the highest power of the covariance
+        denominator that a term reaches.  Otherwise each moment enters as
+        :meth:`moment` gives it, and the terms are added to ``zero()`` in
+        their order, over denominator 1.
+        """
+        moment = self._kernel(shift)
+        top = shift * self.dim
+        if ints:
+            half = max((key >> top for key, _ in terms), default=0) >> 1
+            powers = [self._den ** j for j in range(half + 1)]
+            zero, power = 0, powers[half]
+
+            def value(m, j):
+                return m * powers[half - j]
+        else:
+            zero, power, value = self.zero(), 1, self._scaled
+        total = zero
+        for key, c in terms:
+            deg = key >> top
+            total += c * (zero if deg & 1 else value(moment(key), deg >> 1))
+        return total, power
+
+
+def _packed(p: Poly, shift: int, ints: bool) -> tuple[dict[int, object], int]:
+    """The terms of ``p`` keyed by packed exponents with ``shift``-bit
+    digits, and the denominator of their coefficients: with ``ints``, the
+    coefficients become integer numerators over one denominator."""
+    coeffs, den = (integer_form(p.terms.values()) if ints
+                   else (p.terms.values(), 1))
+    top = shift * p.dim
+    return {sum(x << shift * i for i, x in enumerate(e)) + (sum(e) << top): c
+            for e, c in zip(p.terms, coeffs)}, den
+
+
+def _times(p: dict[int, object], q: dict[int, object]) -> dict[int, object]:
+    """The product of two polynomials keyed by packed exponents, summed in
+    the order of :meth:`Poly.__mul__`, zero terms dropped."""
+    acc: dict[int, object] = {}
+    get = acc.get
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in acc.items() if c}
 
 
 # -- moment tensors ------------------------------------------------------------
@@ -167,11 +270,11 @@ def poly_average(p: Poly, g: GaussianSpec):
     """⟨p⟩ against the Gaussian weight, term by term through pairings."""
     if p.dim != g.dim:
         raise GaussianError("polynomial and weight live on different spaces")
-    total = g.zero()
-    for e, c in p.terms.items():
-        idx = tuple(i for i, k in enumerate(e) for _ in range(k))
-        total += c * g.moment(idx)
-    return total
+    ints = g.exact and all(is_exact(c) for c in p.terms.values())
+    shift = max(p.degree(), 1).bit_length()
+    terms, den = _packed(p, shift, ints)
+    total, power = g._average(terms.items(), shift, ints)
+    return Fraction(total, power * den) if ints else total
 
 
 def quadrature_average(p: Poly, g: GaussianSpec) -> float:
@@ -207,41 +310,40 @@ def _potential_expansion(f: Poly, a: AlgebraSpec,
     The walk fixes one coupling's exponent at a time, smallest first, and
     carries the product of ``f`` with the powers fixed so far, so each
     power of a star polynomial is one product away from the one before.
+    Every polynomial is keyed by packed exponents, so a product adds keys.
     Exact polynomials enter as integer coefficients over one denominator
-    each, so the products run in Python ints, and ``denom`` gathers the
-    denominators with the factorials.
+    each, so the products and averages run in Python ints, and ``denom``
+    gathers the denominators with the factorials.
     """
+    from .algebra import interaction_terms
     gauss = GaussianSpec(a.dim, a.pairing_rows())
-    exact = a.exact and all(is_exact(c) for c in f.terms.values())
-
-    def scaled(p: Poly) -> tuple[Poly, int]:
-        if not exact:
-            return p, 1
-        nums, den = integer_form(p.terms.values())
-        return Poly(p.dim, dict(zip(p.terms, nums))), den
-
+    ints = gauss.exact and all(is_exact(c) for c in f.terms.values())
     # With no budget every exponent is 0, and no star polynomial is needed;
     # an algebra may lack the tensor of a colour the average never uses.
-    terms = [(key, *scaled(part))
-             for key, part in (interaction_terms(a) if budget else ())]
+    stars = interaction_terms(a) if budget else ()
+    reach = f.degree() + sum(budget // key.grade * part.degree()
+                             for key, part in stars)
+    shift = max(reach, 1).bit_length()
+    stars = [(key, *_packed(part, shift, ints)) for key, part in stars]
     coeffs: dict[Monomial, Fraction] = {}
 
-    def descend(i: int, poly: Poly, left: int, mono: Monomial, denom: int):
-        if i == len(terms):
-            val = poly_average(poly, gauss)
-            if val:
-                coeffs[tuple(sorted(mono))] = Fraction(val) / denom
+    def descend(i: int, poly: dict, left: int, mono: Monomial, denom: int):
+        if i == len(stars):
+            total, power = gauss._average(poly.items(), shift, ints)
+            if total:
+                coeffs[tuple(sorted(mono))] = (
+                    Fraction(total, power * denom) if ints
+                    else Fraction(total) / denom)
             return
-        key, part, den = terms[i]
-        power = Poly.constant(a.dim, 1)
+        key, part, den = stars[i]
         for e in range(left // key.grade + 1):
             if e:
-                power = power * part
-            descend(i + 1, poly * power, left - e * key.grade,
-                    mono + ((key, e),) if e else mono,
+                power = part if e == 1 else _times(power, part)
+            descend(i + 1, _times(poly, power) if e else poly,
+                    left - e * key.grade, mono + ((key, e),) if e else mono,
                     denom * factorial(e) * den ** e)
 
-    f, den = scaled(f)
+    f, den = _packed(f, shift, ints)
     descend(0, f, budget, (), den)
     return coeffs
 
@@ -260,6 +362,7 @@ def average_with_potential(f: Poly, a: AlgebraSpec,
     if not 0 <= max_order <= POTENTIAL_ORDER_LIMIT:
         raise GaussianError(
             f"expansion order capped at {POTENTIAL_ORDER_LIMIT}")
+    from .series import MultiSeries
     bound = max_order * max((e.valence for e in a.table.ordinary()), default=1)
     return MultiSeries(_potential_expansion(f, a, bound), bound)
 
@@ -270,6 +373,7 @@ class FrtReport(namedtuple("FrtReport", "match lhs rhs diff")):
     __slots__ = ()
 
     def lines(self) -> list[str]:
+        from .series import name_monomial
         keys = sorted(set(self.lhs.coeffs) | set(self.rhs.coeffs))
         out = []
         for m in keys:
@@ -291,6 +395,10 @@ def frt_check(g: Diagram, a: AlgebraSpec, *, with_potential: bool = False,
     both sides.  The pairing of ``a`` doubles as the Gaussian matrix, so it
     must be positive definite.
     """
+    from .algebra import expectation_value, leg_polynomial
+    from .diagram import degree
+    from .iso import canonical_code
+    from .series import MultiSeries, diagram_monomial
     lhs = expectation_value(g, a, with_potential=with_potential,
                             max_degree=max_degree)
     aut = canonical_code(g).aut_order
@@ -328,6 +436,10 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
     coefficient and coordinate is an int or a Fraction, in doubles
     otherwise; the stars' algebra gets the raw entries and converts them.
     """
+    from .algebra import AlgebraSpec, amplitude
+    from .colours import standard_table
+    from .diagram import Diagram, Vertex
+    from .iso import canonical_code
     if phi.degree() > TAYLOR_DEGREE_LIMIT:
         raise GaussianError(f"degree capped at {TAYLOR_DEGREE_LIMIT}")
     dim = phi.dim

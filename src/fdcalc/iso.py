@@ -163,18 +163,22 @@ def _layout(vertices: tuple) -> tuple:
 
 
 def _search(d: Diagram, tok: dict[int, int]
-            ) -> tuple[tuple, int, tuple[int, ...], list[list[int]]]:
+            ) -> tuple[tuple, int, tuple[int, ...], list[list[int]], int]:
     """Canonical form and automorphism count of the slot structure of ``d``,
-    with the slot half-edges in position order and the automorphisms the
-    search found, each a list of image positions."""
+    with the slot half-edges in position order, the automorphisms the
+    search found, each a list of image positions, and the number of bare
+    edges (pairs whose first half is no slot)."""
     (layout, count, n, index, halves, rk, pos, own, nxt, prv, grp,
      groups) = _layout(d.vertices)
     if not n:
-        return layout + ((), ()), count, halves, []
+        return layout + ((), ()), count, halves, [], len(d.pairs)
     part = [-1] * n
+    bare = 0
     for a, b in d.pairs:
         if a in index:
             part[index[a]], part[index[b]] = index[b], index[a]
+        else:
+            bare += 1
 
     # Tag: 0 untyped leg, 1 edge, 2 root edge, above 2 an endpoint number.
     tags = [1 if p >= 0 else tok.get(h, 0) for h, p in zip(halves, part)]
@@ -265,7 +269,7 @@ def _search(d: Diagram, tok: dict[int, int]
         return depth - 1
 
     node(*_refine(col, len(runs), part, nxt, prv, grp, groups), [], True)
-    return layout + (tuple(runs), best[0]), count * aut, halves, gens
+    return layout + (tuple(runs), best[0]), count * aut, halves, gens, bare
 
 
 def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
@@ -276,11 +280,12 @@ def canonical_code(d: Diagram | TypedDiagram) -> CanonicalCode:
         head = ("T", d.src, d.tgt)
         tail = tuple(sorted(tuple(sorted((tok[a], tok[b])))
                             for a, b in base.bare_pairs))
-        body, count, _, _ = _search(base, tok)
+        body, count, _, _, _ = _search(base, tok)
     else:
-        head, tail = ("D",), len(d.bare_pairs)
-        body, count, _, _ = _search(d, {})
-        count *= _bare_factor(d)
+        # Each untyped bare edge may be swapped with another and reversed.
+        body, count, _, _, bare = _search(d, {})
+        head, tail = ("D",), bare
+        count *= math.factorial(bare) << bare
     return CanonicalCode(repr(head + body + (tail,)).encode(), count)
 
 
@@ -292,16 +297,9 @@ def automorphism_generators(d: Diagram) -> tuple[int, list[dict[int, int]]]:
     They are the automorphisms the canonical search of ``d`` finds; |Aut| is
     their group's order times the valence-0 and bare-edge factors.
     """
-    _, count, halves, gens = _search(d, {})
+    _, count, halves, gens, bare = _search(d, {})
     maps = [dict(zip(halves, map(halves.__getitem__, g))) for g in gens]
-    return count * _bare_factor(d), maps
-
-
-def _bare_factor(d: Diagram) -> int:
-    """b! 2^b for the b untyped bare edges of ``d``: each may be swapped with
-    another and reversed."""
-    b = len(d.bare_pairs)
-    return math.factorial(b) * 2 ** b
+    return count * (math.factorial(bare) << bare), maps
 
 
 def aut_order(d: Diagram | TypedDiagram) -> int:

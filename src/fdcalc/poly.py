@@ -7,12 +7,16 @@ so exact and numeric pipelines share the type.
 The module also holds the one exact elimination, ``invert_exact``, which
 gives the copairing of an algebra and the covariance of a Gaussian weight
 together with the pivots behind its positivity check, and ``integer_form``,
-which lets exact arithmetic run on Python ints.
+which lets exact arithmetic run on Python ints.  ``SYMMETRY_TOL`` is
+the tolerance to which a float pairing matrix must be symmetric, in an
+algebra and in a Gaussian weight alike.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+SYMMETRY_TOL = 1e-10
 
 
 def is_exact(x) -> bool:

@@ -3,11 +3,12 @@
 Every check fabricates its own instances deterministically (fixed seeds,
 fixed diagram families), so two runs print byte-identical reports.  Each
 returns a CheckResult: a verdict plus one line per case.  The checks
-that need the numeric layer import ``gaussian`` themselves, and
-``fubini`` imports ``coverings`` itself, so that the others never load
-them.  ``taylor``, and ``frt`` on an exact algebra, compute in exact
-rationals and run without numpy; ``wick`` compares against quadrature,
-which loads it.
+that need the numeric layer import ``gaussian`` themselves, ``fubini``
+imports ``coverings`` itself, and ``expfz`` the census and the series, so
+that the others never load them: ``wick`` loads ``gaussian`` and ``poly``
+and none of the diagram machinery.  ``taylor``, and ``frt`` on an exact
+algebra, compute in exact rationals and run without numpy; ``wick``
+compares against quadrature, which loads it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .colours import ColourTable
 from .diagram import (Diagram, Vertex, build_diagram, coupon_star,
                       cyclic_star, mark_root, symmetric_star)
 from .poly import Poly
-from .generate import enumerate_closed
-from .series import (format_monomial, groupoid_integral, partition_series,
-                     sorted_terms)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -106,6 +104,9 @@ def check_exp_free_energy(table: ColourTable, max_degree: int) -> CheckResult:
     The census runs first, so that an input either size rule of
     :mod:`fdcalc.generate` refuses fails with the census's message.
     """
+    from .generate import enumerate_closed
+    from .series import (format_monomial, groupoid_integral,
+                         partition_series, sorted_terms)
     f = groupoid_integral(
         enumerate_closed(table, max_degree=max_degree, connected=True),
         table, max_degree)

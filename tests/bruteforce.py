@@ -1,18 +1,25 @@
-"""Brute-force oracles for automorphisms, sharing no logic with the
-canonical search.
+"""Brute-force oracles for automorphisms and Gaussian moments, sharing no
+logic with the canonical search or the moment kernel.
 
 :func:`aut_order_bruteforce`, the oracle for |Aut| from
 :func:`fdcalc.iso.canonical_code`, enumerates candidate vertex bijections
 extended by explicit slot bijections and counts the maps commuting with the
 matching.  :func:`is_automorphism` checks one map of slot half-edges, and
 :func:`group_order` lists the group that some maps generate.
+
+:func:`pairing_moment` sums a Gaussian moment over the perfect matchings of
+its index list, with no memo and no packing, and
+:func:`potential_coefficient` builds one coefficient of ⟨f·e^S⟩ from
+powers formed by ``Poly``'s own product.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from fdcalc.diagram import Diagram, TypedDiagram
+from fdcalc.poly import Poly
 
 
 def _sig(v):
@@ -148,3 +155,41 @@ def group_order(gens: list[dict[int, int]], halves: list[int]) -> int:
                 elements.add(y)
                 todo.append(y)
     return len(elements)
+
+
+def perfect_matchings(items: list):
+    """Every perfect matching of ``items``, as a list of pairs; none for an
+    odd count."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for j, other in enumerate(rest):
+        for m in perfect_matchings(rest[:j] + rest[j + 1:]):
+            yield [(first, other)] + m
+
+
+def pairing_moment(cov, idx) -> Fraction:
+    """⟨v_{i_1}···v_{i_k}⟩ as the plain sum, over the perfect matchings of
+    the k positions, of the product of the covariance entries ``cov[a][b]``
+    that each matching pairs."""
+    idx = list(idx)
+    return sum((math.prod(cov[idx[a]][idx[b]] for a, b in m)
+                for m in perfect_matchings(list(range(len(idx))))),
+               Fraction(0))
+
+
+def poly_moment(p: Poly, cov) -> Fraction:
+    """⟨p⟩, term by term through :func:`pairing_moment`."""
+    return sum((c * pairing_moment(cov, [i for i, k in enumerate(e)
+                                         for _ in range(k)])
+                for e, c in p.terms.items()), Fraction(0))
+
+
+def potential_coefficient(f: Poly, stars: list[Poly], exps, cov) -> Fraction:
+    """The coefficient of x_1^{e_1}···x_m^{e_m} in ⟨f·exp(Σ x_i S_i)⟩, for
+    the star polynomials S_i: the average of f·Π S_i^{e_i}/e_i!."""
+    p = f
+    for s, e in zip(stars, exps):
+        p = p * s ** e * Fraction(1, math.factorial(e))
+    return poly_moment(p, cov)

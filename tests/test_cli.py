@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fdcalc import generate, verify
+from fdcalc import generate
 from fdcalc.cli import main
 from fdcalc.diagram import DiagramError, symmetric_star
 from fdcalc.dsl import format_table, parse_diagram
@@ -223,7 +223,7 @@ def test_verify_expfz_runs_the_census(files, monkeypatch):
     def one_short(*args, **kwargs):
         return enumerate_closed(*args, **kwargs)[:-1]
 
-    monkeypatch.setattr(verify, "enumerate_closed", one_short)
+    monkeypatch.setattr(generate, "enumerate_closed", one_short)
     rc, out, _ = run(["verify", "expfz", "--table", files["quartic.tbl"],
                       "--max-degree", "8"])
     assert rc == 1
@@ -561,10 +561,10 @@ MODULE_USE = [
     (["verify", "expfz", "--table", "quartic.tbl", "--max-degree", "8"],
      CENSUS | {"poly", "verify"}),
     (["verify", "fubini"],
-     CENSUS | {"coverings", "poly", "prop", "verify"}),
+     {"coverings", "generate", "iso", "poly", "prop", "verify"}),
     (["partition", "--algebra", "quartic.alg", "--max-degree", "8"],
      CENSUS | {"algebra", "json", "poly"}),
-    (["verify", "wick"], NUMERIC),
+    (["verify", "wick"], {"gaussian", "poly", "verify"}),
     (["verify", "frt", "--algebra", "quartic.alg"], NUMERIC),
     (["verify", "taylor"], NUMERIC),
 ]

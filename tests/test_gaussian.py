@@ -1,5 +1,8 @@
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +10,9 @@ import pytest
 
 from fdcalc.algebra import (
     SYMMETRY_TOL, AlgebraSpec, amplitude, expectation_value,
+    interaction_terms,
 )
+from fdcalc.cli import main
 from fdcalc.colours import standard_table
 from fdcalc.diagram import (EMPTY, coupon_star, cyclic_star, symmetric_star)
 from fdcalc.gaussian import (
@@ -17,6 +22,7 @@ from fdcalc.gaussian import (
 from fdcalc.poly import Poly
 from fdcalc.prop import edge_pairings
 from fdcalc.series import partition_series, variable_for
+from bruteforce import pairing_moment, poly_moment, potential_coefficient
 from util import mixed_table, quartic_table
 
 PD2 = [[F(2), F(1)], [F(1), F(1)]]
@@ -155,6 +161,101 @@ def test_wick_equals_pairing_diagram_amplitudes():
     for k in (2, 4, 6):
         total = sum(np.asarray(amplitude(m, a)) for m in edge_pairings(k))
         assert np.array_equal(total, wick_moment(k, g))
+
+
+# -- the kernel against brute force --------------------------------------------
+
+def fractional_pd(rng, dim):
+    """B·Bᵀ + I for a B of small fractions: positive definite, with
+    denominators in its entries."""
+    b = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+         for _ in range(dim)]
+    return [[sum(b[i][k] * b[j][k] for k in range(dim)) + (i == j)
+             for j in range(dim)] for i in range(dim)]
+
+
+def fractional_poly(rng, dim, max_degree):
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        e = [0] * dim
+        for _ in range(rng.randint(0, max_degree)):
+            e[rng.randrange(min(dim, rng.randint(1, 2)))] += 1
+        terms[tuple(e)] = F(rng.randint(-9, 9), rng.randint(1, 6))
+    return Poly(dim, terms)
+
+
+def covariance_rows(g):
+    return [list(row) for row in g.covariance]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_moment_is_the_pairing_sum(dim):
+    rng = random.Random(100 + dim)
+    for _ in range(3):
+        g = GaussianSpec(dim, fractional_pd(rng, dim))
+        cov = covariance_rows(g)
+        assert g._den > 1
+        for k in range(9):
+            for _ in range(4):
+                # Draw from few coordinates, so that indices repeat.
+                idx = [rng.randrange(min(dim, rng.randint(1, 3)))
+                       for _ in range(k)]
+                got = g.moment(idx)
+                assert type(got) is F
+                assert got == pairing_moment(cov, idx), (dim, idx)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_poly_average_is_the_pairing_sum(dim):
+    rng = random.Random(200 + dim)
+    for _ in range(6):
+        g = GaussianSpec(dim, fractional_pd(rng, dim))
+        p = fractional_poly(rng, dim, 8)
+        got = poly_average(p, g)
+        assert type(got) is F
+        assert got == poly_moment(p, covariance_rows(g))
+
+
+POTENTIAL_TABLES = [
+    ("quartic", [("symmetric", "s4", 4)], 2, [1, 2, 3]),
+    ("mixed", [("symmetric", "s3", 3), ("symmetric", "s4", 4)], 2, [1, 2]),
+    ("cyclic", [("cyclic", "c3", 3)], 2, [1, 2, 3]),
+    ("coupon", [("coupon", "k21", (2, 1)), ("symmetric", "s4", 4)], 1, [1, 2]),
+]
+
+
+@pytest.mark.parametrize("colours,max_order,dims",
+                         [c[1:] for c in POTENTIAL_TABLES],
+                         ids=[c[0] for c in POTENTIAL_TABLES])
+def test_average_with_potential_is_the_naive_product(colours, max_order,
+                                                     dims):
+    rng = random.Random(len(colours) * 10 + max_order)
+    table = standard_table(*colours)
+    makers = {"symmetric": sym_tensor, "cyclic": cyc_tensor}
+    for dim in dims:
+        tensors = {}
+        for entry in table.ordinary():
+            make = makers.get(entry.kind)
+            tensors[entry.name] = (
+                make(rng, dim, entry.valence) * F(1, rng.randint(1, 3))
+                if make else
+                [F(rng.randint(-2, 2), rng.randint(1, 3))
+                 for _ in range(dim ** entry.valence)])
+        a = AlgebraSpec(dim, fractional_pd(rng, dim), table, tensors)
+        f = fractional_poly(rng, dim, 2)
+        got = average_with_potential(f, a, max_order)
+        keys, stars = zip(*interaction_terms(a))
+        cov = covariance_rows(GaussianSpec(dim, a.pairing_rows()))
+        bound = got.max_degree
+        want = {}
+        for exps in itertools.product(*(range(bound // k.grade + 1)
+                                        for k in keys)):
+            if sum(e * k.grade for e, k in zip(exps, keys)) <= bound:
+                c = potential_coefficient(f, stars, exps, cov)
+                if c:
+                    want[tuple((k, e) for k, e in zip(keys, exps) if e)] = c
+        assert got.coeffs == want
+        assert all(type(c) is F for c in got.coeffs.values())
 
 
 # -- quadrature ------------------------------------------------------------------
@@ -373,3 +474,120 @@ def test_taylor_degree_guard():
         taylor_stars(Poly(1, {(11,): F(1)}), (F(1),))
     with pytest.raises(GaussianError):
         taylor_stars(Poly(2, {(1, 1): F(1)}), (F(1),))
+
+
+# -- float outputs, pinned bit for bit -----------------------------------------------
+#
+# Float sums depend on their order.  These pins hold the order of the
+# Gaussian road's float sums: a moment's pairings in the order of its sorted
+# index list, a repeated index's term added once per repeat, and an
+# average's terms in the polynomial's order.
+
+MIXED2_ALG = json.dumps({
+    "dim": 2,
+    "colours": [{"name": "phi3", "kind": "sym", "valence": 3},
+                {"name": "phi4", "kind": "sym", "valence": 4}],
+    "pairing": [1.5, 0.25, 0.25, 0.75],
+    "tensors": {"phi3": [0.5, -0.375, -0.375, 0.25, -0.375, 0.25, 0.25,
+                         1.125],
+                "phi4": [1.5, -0.25, -0.25, 0.75, -0.25, 0.75, 0.75, 0.125,
+                         -0.25, 0.75, 0.75, 0.125, 0.75, 0.125, 0.125,
+                         -1.0]},
+})
+
+FRT_PINS = [
+    (["--root", "two3.fd"],
+     "1\t30863361663736453/54043195528445952"
+     "\t642986701327843/1125899906842624\n"
+     "max deviation\t11/54043195528445952\n"
+     "PASS\n"),
+    (["--potential", "--max-degree", "8"],
+     "1\t1\t1\n"
+     "phi3^2\t30863361663736453/54043195528445952"
+     "\t642986701327843/1125899906842624\n"
+     "phi4\t7480027062760677/144115188075855872"
+     "\t1870006765690171/36028797018963968\n"
+     "phi4^2\t1605505416566621747/3458764513820540928"
+     "\t4181003688975577/9007199254740992\n"
+     "max deviation\t11/54043195528445952\n"
+     "PASS\n"),
+    (["--root", "two3.fd", "--potential", "--max-degree", "6"],
+     "1\t30863361663736453/54043195528445952"
+     "\t642986701327843/1125899906842624\n"
+     "phi3^2\t419981783622432397/27021597764222976"
+     "\t2187405123033503/140737488355328\n"
+     "phi4\t-36052508850235935/18014398509481984"
+     "\t-1126640901569873/562949953421312\n"
+     "max deviation\t179/27021597764222976\n"
+     "PASS\n"),
+]
+
+
+@pytest.mark.parametrize("args,stdout", FRT_PINS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else "")
+def test_verify_frt_float_stdout_is_pinned(tmp_path, args, stdout):
+    (tmp_path / "mixed2.alg").write_text(MIXED2_ALG)
+    (tmp_path / "two3.fd").write_text("vertex a sym PHI3 legs 3;\n"
+                                      "vertex b sym PHI3 legs 3;\n")
+    argv = ["verify", "frt", "--algebra", str(tmp_path / "mixed2.alg")]
+    argv += [str(tmp_path / a) if a.endswith(".fd") else a for a in args]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(argv)
+    assert (rc, out.getvalue()) == (0, stdout)
+
+
+def _pin_algebra(scalar):
+    table = standard_table(("symmetric", "phi3", 3), ("symmetric", "phi4", 4))
+    mixed = json.loads(MIXED2_ALG)
+    tensors = {name: [scalar(x) for x in flat]
+               for name, flat in mixed["tensors"].items()}
+    pairing = [[scalar(1.5), scalar(0.25)], [scalar(0.25), scalar(0.75)]]
+    return AlgebraSpec(2, pairing, table, tensors)
+
+
+def _sorted_reprs(s):
+    return sorted((str(m), repr(c)) for m, c in s.coeffs.items())
+
+
+def test_float_weight_averages_are_pinned():
+    g = GaussianSpec(3, [[1.5, 0.25, -0.5], [0.25, 0.75, 0.125],
+                         [-0.5, 0.125, 2.0]])
+    p = Poly(3, {(4, 0, 0): 0.3, (2, 2, 0): -1.7, (0, 3, 3): 0.125,
+                 (1, 1, 2): 2.5, (3, 0, 0): 9.0, (0, 0, 0): 0.1,
+                 (0, 2, 0): 1e-3, (2, 1, 1): -0.7})
+    assert repr(poly_average(p, g)) == "np.float64(-2.1761848678776756)"
+    assert repr(poly_average(Poly(3, {(2, 0, 2): 1.25, (0, 6, 0): -0.5}),
+                             g)) == "np.float64(-22.696383166705)"
+    assert repr(poly_average(Poly(3, {(1, 0, 0): 1.0}), g)) == "0.0"
+    assert repr(poly_average(Poly(3, {}), g)) == "0.0"
+
+    s = average_with_potential(
+        Poly(2, {(2, 0): 0.5, (1, 3): -1.25, (0, 2): 3.0}),
+        _pin_algebra(float), 3)
+    assert repr(s) == (
+        "3284199382243363/562949953421312"
+        " + -3034231566094345/2251799813685248*phi4"
+        " + 6134785315625809/281474976710656*phi3^2"
+        " + 7510432240034383/281474976710656*phi4^2"
+        " + -1471137716485653/8796093022208*phi3^2*phi4"
+        " + 1356093805952461/6597069766656*phi3^4"
+        " + -1881487338046237/105553116266496*phi4^3 (+O^13)")
+
+
+def test_float_coefficients_over_an_exact_weight_are_pinned():
+    # Each term meets its exact moment as a Fraction, as the float
+    # arithmetic of a Fraction rounds it.
+    g = GaussianSpec(2, [[F(3, 2), F(1, 4)], [F(1, 4), F(3, 4)]])
+    assert repr(poly_average(
+        Poly(2, {(2, 2): 0.3, (0, 2): F(1, 3), (4, 0): F(2, 7)}), g)
+    ) == "1.2298566485417697"
+    s = average_with_potential(
+        Poly(2, {(2, 0): 0.5, (1, 3): F(-5, 4), (0, 2): 3.0}),
+        _pin_algebra(lambda x: F(x)), 2)
+    assert [c for _, c in _sorted_reprs(s)] == [
+        "Fraction(6134785315625813, 281474976710656)",
+        "Fraction(-3034231566094335, 2251799813685248)",
+        "Fraction(3755216120017195, 140737488355328)",
+        "Fraction(6568398764486727, 1125899906842624)"]

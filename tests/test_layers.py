@@ -15,6 +15,7 @@ rationals alone loads no numpy.  A private name stays in its module.
 """
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -90,16 +91,28 @@ def test_only_the_numeric_layer_imports_numpy(name):
     assert not numpy or name in LAYERS[1]
 
 
-# The siblings that the package ``__init__`` and the front end may import
-# at module level: what every command, or every check, uses.
+# The siblings that the package ``__init__``, the front end and
+# ``gaussian`` may import at module level: what every command, every check,
+# or every Gaussian weight uses.  ``verify wick`` loads ``gaussian`` and
+# computes on ``poly`` alone.
 EAGER = {"__init__": set(), "cli": {"colours", "diagram", "dsl"},
-         "verify": LAYERS[0] - {"coverings"}}
+         "verify": {"colours", "diagram", "poly"}, "gaussian": {"poly"}}
 
 
-@pytest.mark.parametrize("name", ["__init__", "cli", "verify"])
+@pytest.mark.parametrize("name", sorted(EAGER))
 def test_numeric_layer_is_imported_only_where_used(name):
     eager = {m for m, _ in _imports(name, top_level=True) if m in RANK}
     assert eager <= EAGER[name]
+
+
+def test_restated_constants_keep_their_values():
+    # ``gaussian`` restates the series' default degree so that it loads no
+    # series code, and ``algebra`` serves the tolerance that ``poly`` holds.
+    from fdcalc import algebra, gaussian, poly, series
+    default = inspect.signature(gaussian.frt_check).parameters["max_degree"]
+    assert gaussian.DEFAULT_DEGREE == series.DEFAULT_DEGREE == 12
+    assert default.default == series.DEFAULT_DEGREE
+    assert algebra.SYMMETRY_TOL == poly.SYMMETRY_TOL == 1e-10
 
 
 @pytest.mark.parametrize("name", MODULES)
