@@ -7,6 +7,13 @@ is exact on all monomials of weight at most D and silent above.  Binary
 operations truncate to the smaller of the two bounds; differentiating by a
 variable of grade g costs g degrees of precision.
 
+``exp``, ``log`` and series division (``reciprocal`` is 1 / Z) solve one
+recurrence in weight order (:func:`_by_weight`).  With W the weight operator
+(W m = weight(m) m), 1 the empty monomial and each Σ over ab = m with a ≠ 1:
+- exp, as W E = E·WF: weight(m) E_m = Σ (WF)_a E_b, with E_1 = 1;
+- log, as W L = WZ / Z: weight(m) L_m = weight(m) Z_m − Σ Z_a (WL)_b;
+- A / Z: Z_1 Q_m = A_m − Σ Z_a Q_b.
+
 Diagram sums are push-forwards and enumerate no class: each star multiset
 contributes its monomial (a factor per ordinary vertex, graded by valence)
 times the groupoid cardinality that :func:`fdcalc.generate.push_forward`
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
 
 from .colours import ColourTable
 from .diagram import Diagram, DiagramError
@@ -134,7 +140,12 @@ class MultiSeries:
             return MultiSeries({m: c / Fraction(other)
                                 for m, c in self.coeffs.items()},
                                self.max_degree)
-        return self * other.reciprocal()
+        z1 = other.coefficient(())
+        if not z1:
+            raise ValueError("cannot invert a series without constant term")
+        return _by_weight(self.coeffs, other.coeffs, lambda w, c: c,
+                          lambda w, v: (v / z1,) * 2,
+                          min(self.max_degree, other.max_degree))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -167,52 +178,24 @@ class MultiSeries:
     # -- transcendental operations ----------------------------------------
 
     def exp(self) -> "MultiSeries":
-        """exp(t) = sum t^k / k!, for t = self."""
+        """exp F, F = self: weight(m) E_m = Σ (WF)_a E_b, with E_1 = 1."""
         if self.coefficient(()):
             raise ValueError("exp needs a vanishing constant term")
-        return _power_sum(self, lambda k: Fraction(1, factorial(k)))
+        return _by_weight({(): Fraction(1)}, self.coeffs, lambda w, c: -w * c,
+                          lambda w, v: (v / (w or 1),) * 2, self.max_degree)
 
     def log(self) -> "MultiSeries":
-        """log Z for Z = self, by the grading recurrence.
-
-        With W the weight operator (W m = weight(m) m), W log Z = WZ / Z, so
-        weight(m) L_m = weight(m) Z_m - sum Z_a (W L)_b over the products
-        ab = m with a nonconstant: each coefficient of L = log Z follows
-        from ones of lower weight, in weight order.  This costs about one
-        product of L with Z, where the power sum costs one per power.
-        """
+        """log Z, Z = self: weight(m) L_m = weight(m) Z_m − Σ Z_a (WL)_b."""
         if self.coefficient(()) != 1:
             raise ValueError("log needs constant term 1")
-        bound = self.max_degree
-        z = sorted(((_mono_weight(m), m, c) for m, c in self.coeffs.items()
-                    if m), key=lambda t: t[0])
-        # Weight -> monomial m -> weight(m) Z_m less the terms of the sum
-        # found so far, which is (W L)_m once its weight comes up.
-        todo: dict[int, dict[Monomial, Fraction]] = {}
-        for w, m, c in z:
-            todo.setdefault(w, {})[m] = w * c
-        out = {}
-        while todo:
-            w = min(todo)
-            for b, wl in todo.pop(w).items():
-                if not wl:
-                    continue
-                out[b] = wl / w
-                for wa, a, c in z:
-                    if w + wa > bound:
-                        break
-                    row = todo.setdefault(w + wa, {})
-                    m = _mono_mul(a, b)
-                    row[m] = row.get(m, 0) - c * wl
-        return MultiSeries(out, bound)
+        return _by_weight({m: _mono_weight(m) * c
+                           for m, c in self.coeffs.items() if m}, self.coeffs,
+                          lambda w, c: c, lambda w, v: (v / w, v),
+                          self.max_degree)
 
     def reciprocal(self) -> "MultiSeries":
-        """1/(c(1 + t)) = sum (-t)^k / c, for c the constant term and
-        t = self/c - 1."""
-        c = self.coefficient(())
-        if not c:
-            raise ValueError("cannot invert a series without constant term")
-        return _power_sum(self / c - 1, lambda k: (-1) ** k) / c
+        """1 / Z, Z = self: Z_1 R_m = [m = 1] − Σ Z_a R_b."""
+        return MultiSeries.constant(1, self.max_degree) / self
 
     def derivative(self, key: VariableKey) -> "MultiSeries":
         acc: dict[Monomial, Fraction] = {}
@@ -240,20 +223,36 @@ class MultiSeries:
     __repr__ = __str__
 
 
-def _power_sum(t: MultiSeries, coeff) -> MultiSeries:
-    """sum coeff(k) * t^k over k >= 0, for ``t`` without constant term.
+def _by_weight(seed: dict, coeffs: dict, scale, finish,
+               bound: int) -> MultiSeries:
+    """Solve for a series in ascending weight.
 
-    Every term of t^k weighs at least k, so the powers vanish past
-    ``t.max_degree`` and the sum stops at the first power that does.
-    """
-    acc = MultiSeries.zero(t.max_degree)
-    power = MultiSeries.constant(1, t.max_degree)
-    k = 0
-    while power.coeffs:
-        acc = acc + power * coeff(k)
-        k += 1
-        power = power * t
-    return acc
+    A monomial's row starts at its ``seed`` value.  When its weight comes
+    up, ``finish(w, v)`` turns its value v into the coefficient and a push;
+    the push times ``scale(wa, c)``, for each nonconstant term c of
+    ``coeffs`` at weight wa, is taken off the row of the product.  This
+    costs about one product of the result with ``coeffs``.  Weights of
+    ``seed`` serve ``coeffs`` too: log seeds its multiplier's monomials."""
+    weight = {m: _mono_weight(m) for m in seed}
+    z = sorted(((wa := weight.get(a) or _mono_weight(a), a, scale(wa, c))
+                for a, c in coeffs.items() if a), key=lambda t: t[0])
+    rows: dict[int, dict[Monomial, Fraction]] = {}
+    for m, v in seed.items():
+        rows.setdefault(weight[m], {})[m] = v
+    out = {}
+    while rows:
+        w = min(rows)
+        for b, v in rows.pop(w).items():
+            if not v:
+                continue
+            out[b], v = finish(w, v)
+            for wa, a, c in z:
+                if w + wa > bound:
+                    break
+                row = rows.setdefault(w + wa, {})
+                m = _mono_mul(a, b)
+                row[m] = row.get(m, 0) - c * v
+    return MultiSeries(out, bound)
 
 
 def name_monomial(m: Monomial) -> str:

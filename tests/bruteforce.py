@@ -1,5 +1,6 @@
-"""Brute-force oracles for automorphisms and Gaussian moments, sharing no
-logic with the canonical search or the moment kernel.
+"""Brute-force oracles for automorphisms, Gaussian moments and series, sharing
+no logic with the canonical search, the moment kernel or the weight-order
+recurrence of :mod:`fdcalc.series`.
 
 :func:`aut_order_bruteforce`, the oracle for |Aut| from
 :func:`fdcalc.iso.canonical_code`, enumerates candidate vertex bijections
@@ -11,6 +12,10 @@ matching.  :func:`is_automorphism` checks one map of slot half-edges, and
 its index list, with no memo and no packing, and
 :func:`potential_coefficient` builds one coefficient of ⟨f·e^S⟩ from
 powers formed by ``Poly``'s own product.
+
+:func:`power_sum` sums a series' powers, each formed by the series product,
+and :func:`exp_by_power_sum`, :func:`log_by_power_sum` and
+:func:`reciprocal_by_power_sum` are the Taylor series it gives.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from fractions import Fraction
 
 from fdcalc.diagram import Diagram, TypedDiagram
 from fdcalc.poly import Poly
+from fdcalc.series import MultiSeries
 
 
 def _sig(v):
@@ -193,3 +199,36 @@ def potential_coefficient(f: Poly, stars: list[Poly], exps, cov) -> Fraction:
     for s, e in zip(stars, exps):
         p = p * s ** e * Fraction(1, math.factorial(e))
     return poly_moment(p, cov)
+
+
+def power_sum(t: MultiSeries, coeff) -> MultiSeries:
+    """sum coeff(k) * t^k over k >= 0, for ``t`` without constant term.
+
+    Every term of t^k weighs at least k, so the powers vanish past
+    ``t.max_degree`` and the sum stops at the first power that does.
+    """
+    acc = MultiSeries.zero(t.max_degree)
+    power = MultiSeries.constant(1, t.max_degree)
+    k = 0
+    while power.coeffs:
+        acc = acc + power * coeff(k)
+        k += 1
+        power = power * t
+    return acc
+
+
+def exp_by_power_sum(t: MultiSeries) -> MultiSeries:
+    """exp(t) = sum t^k / k!, for ``t`` without constant term."""
+    return power_sum(t, lambda k: Fraction(1, math.factorial(k)))
+
+
+def log_by_power_sum(z: MultiSeries) -> MultiSeries:
+    """log(1 + t) = sum (-1)^(k+1) t^k / k over k >= 1, for t = z - 1."""
+    return power_sum(z - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+
+
+def reciprocal_by_power_sum(z: MultiSeries) -> MultiSeries:
+    """1/(c(1 + t)) = sum (-t)^k / c, for c the constant term of ``z`` and
+    t = z/c - 1."""
+    c = z.coefficient(())
+    return power_sum(z / c - 1, lambda k: (-1) ** k) / c

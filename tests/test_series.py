@@ -13,9 +13,12 @@ from fdcalc.diagram import (
 )
 from fdcalc.generate import MAX_STAR_MULTISETS, enumerate_closed
 from fdcalc.series import (
-    MultiSeries, VariableKey, _power_sum, diagram_monomial,
+    MultiSeries, VariableKey, diagram_monomial,
     free_energy_series, groupoid_integral, partition_series, rooted_series,
     variable_for,
+)
+from bruteforce import (
+    exp_by_power_sum, log_by_power_sum, reciprocal_by_power_sum,
 )
 from util import (
     banded_pair, coupon_table, cubic_table, cyclic_table, figure_eight,
@@ -101,6 +104,7 @@ def series_without_constant(draw) -> MultiSeries:
 @given(series_without_constant())
 def test_log_inverts_exp(s):
     assert s.exp().log() == s
+    assert s.exp() == exp_by_power_sum(s)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -109,6 +113,19 @@ def test_log_inverts_exp(s):
 def test_reciprocal_inverts(t, c):
     s = t + c
     assert s * s.reciprocal() == MultiSeries.constant(1, s.max_degree)
+    assert s.reciprocal() == reciprocal_by_power_sum(s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(series_without_constant(), series_without_constant(),
+       st.fractions(-9, 9, max_denominator=9),
+       st.fractions(-9, 9, max_denominator=9).filter(bool))
+def test_division_is_the_product_with_the_power_sum(a, t, a0, c):
+    # Both bounds are drawn, so they differ as often as not.
+    a, z = a + a0, t + c
+    assert a / z == a * reciprocal_by_power_sum(z)
+    assert (a / z).max_degree == min(a.max_degree, z.max_degree)
+    assert z ** -2 == reciprocal_by_power_sum(z * z)
 
 
 def test_series_text_is_pinned():
@@ -123,12 +140,14 @@ def test_series_text_is_pinned():
 
 def test_domain_errors():
     x = var(X, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exp needs a vanishing constant term"):
         (1 + x).exp()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="log needs constant term 1"):
         x.log()
-    with pytest.raises(ValueError):
-        x.reciprocal()
+    for invert in (x.reciprocal, lambda: x / x, lambda: x ** -1):
+        with pytest.raises(ValueError,
+                           match="cannot invert a series without constant term"):
+            invert()
     with pytest.raises(ValueError):
         x.truncate(12)
     with pytest.raises(ValueError):
@@ -380,11 +399,6 @@ def test_rooted_series_keep_the_census_refusal_of_a_bare_edge():
         enumerate_closed(quartic_table(), max_degree=8, root=root)
 
 
-def _log_by_power_sum(z: MultiSeries) -> MultiSeries:
-    """log(1 + t) = sum (-1)^(k+1) t^k / k over k >= 1, for t = z - 1."""
-    return _power_sum(z - 1, lambda k: F((-1) ** (k + 1), k) if k else 0)
-
-
 @pytest.mark.parametrize("table,max_degree", [
     (quartic_table(), 16), (cubic_table(), 16), (mixed_table(), 16),
     (cyclic_table(), 16), (coupon_table(), 16), (low_valence_table(), 16),
@@ -394,4 +408,7 @@ def _log_by_power_sum(z: MultiSeries) -> MultiSeries:
         "quartic-100-terms"])
 def test_log_by_grading_equals_the_power_sum(table, max_degree):
     z = partition_series(table, max_degree)
-    assert z.log() == _log_by_power_sum(z)
+    f = z.log()
+    assert f == log_by_power_sum(z)
+    assert f.exp() == exp_by_power_sum(f) == z
+    assert z.reciprocal() == reciprocal_by_power_sum(z)
