@@ -570,6 +570,18 @@ def _parse_number(x):
     return value
 
 
+def _integer(x, field: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise AlgebraError(f"{field} must be an integer, not {x!r}")
+    return x
+
+
+def _numbers(x, field: str) -> list:
+    if not isinstance(x, list):
+        raise AlgebraError(f"{field} must be a list, not {x!r}")
+    return [_parse_number(y) for y in x]
+
+
 def load_algebra(src: str | dict) -> AlgebraSpec:
     """Read an algebra from its JSON document (text or parsed).
 
@@ -578,13 +590,15 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
     flat arrays whose entries are numbers or exact "p/q" strings; optional
     ``orthonormalize`` flag.  All-string entries select the exact mode.  A
     colour without ``bold`` gets the partner :func:`partner_name` gives.
-    Every listed colour needs a tensor.
+    Every listed colour needs a tensor.  ``dim``, valences, inputs and
+    outputs are JSON integers, and the pairing and each tensor are JSON
+    lists; anything else raises :class:`AlgebraError` naming the field.
     """
     data = json.loads(src) if isinstance(src, str) else src
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"], "dim")
         colours = data["colours"]
-        pairing = [_parse_number(x) for x in data["pairing"]]
+        pairing = _numbers(data["pairing"], "pairing")
         raw_tensors = data["tensors"]
         entries = []
         for c in colours:
@@ -592,14 +606,15 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
             if kind not in KIND_SHORT:
                 raise AlgebraError(f"unknown colour kind {c.get('kind')!r}")
             if kind == "coupon":
-                arity = (int(c["inputs"]), int(c["outputs"]))
+                arity = (_integer(c["inputs"], "inputs"),
+                         _integer(c["outputs"], "outputs"))
             else:
-                arity = int(c["valence"])
+                arity = _integer(c["valence"], "valence")
             bold = c.get("bold", partner_name(c["name"]))
             entries.append(ColourEntry(bold, kind, arity, special=True))
             entries.append(ColourEntry(c["name"], kind, arity, bold=bold))
         table = ColourTable(entries)
-        tensors = {name: [_parse_number(x) for x in flat]
+        tensors = {name: _numbers(flat, f"tensor {name!r}")
                    for name, flat in raw_tensors.items()}
         for c in colours:
             if c["name"] not in tensors:

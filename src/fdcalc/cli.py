@@ -295,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if args.format == "json":
         import json
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))

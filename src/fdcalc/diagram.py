@@ -333,46 +333,43 @@ def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
                    a.root_pairs | b.root_pairs)
 
 
+def component_labels(d: Diagram) -> list[int]:
+    """For each vertex, the least vertex index of its component.
+
+    One union-find over vertex indices; each root is the least index of its
+    set.  Bare edges own no vertex and are left out.
+    """
+    label = list(range(len(d.vertices)))
+
+    def find(i):
+        while label[i] != i:
+            label[i] = label[label[i]]
+            i = label[i]
+        return i
+
+    owner = d._slot_owner
+    for a, b in d.pairs:
+        if a in owner:
+            i, j = find(owner[a]), find(owner[b])
+            if i != j:
+                label[max(i, j)] = min(i, j)
+    return [find(i) for i in range(len(label))]
+
+
 def connected_components(d: Diagram) -> list[Diagram]:
     """Components as sub-diagrams (half-edge ids preserved), deterministic order.
 
     The empty diagram has no components; a bare edge is a component of its
     own.  Root marks survive on the pieces.
     """
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i in range(len(d.vertices)):
-        parent.setdefault(("v", i), ("v", i))
-    for a, b in d.pairs:
-        oa, ob = d.vertex_of(a), d.vertex_of(b)
-        ka = ("v", oa) if oa is not None else ("b", _norm_pair(a, b))
-        kb = ("v", ob) if ob is not None else ("b", _norm_pair(a, b))
-        union(ka, kb)
-
-    groups: dict = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
-
-    comps = []
-    for members in groups.values():
-        vidx = sorted(i for tag, i in members if tag == "v")
-        bares = [p for tag, p in members if tag == "b"]
-        vs = tuple(d.vertices[i] for i in vidx)
-        halves = {h for v in vs for h in v.slots}
-        pairs = {p for p in d.pairs if p[0] in halves} | set(bares)
-        comps.append(Diagram(vs, frozenset(pairs), frozenset(p for p in d.root_pairs if p in pairs)))
+    labels = component_labels(d)
+    parts: dict[int, tuple[list[Vertex], set]] = {}
+    for v, k in zip(d.vertices, labels):
+        parts.setdefault(k, ([], set()))[0].append(v)
+    for p in d.pairs - d.bare_pairs:
+        parts[labels[d.vertex_of(p[0])]][1].add(p)
+    comps = [Diagram(vs, pairs, d.root_pairs & pairs)
+             for vs, pairs in parts.values()]
+    comps += [Diagram((), {p}, d.root_pairs & {p}) for p in d.bare_pairs]
     comps.sort(key=lambda c: min(c.half_edges, default=-1))
     return comps

@@ -23,6 +23,7 @@ colours).
 """
 
 import re
+import sys
 
 from .colours import (
     KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
@@ -174,6 +175,8 @@ def parse_diagram(text: str, table: ColourTable | None = None):
                 raise ParseError("coupon arity does not match legs", *where)
             if valence < 1:
                 raise ParseError("a vertex needs at least one leg", *where)
+            if valence > sys.maxsize:
+                raise ParseError("too many legs to number", *where)
             c.take(";")
             vertices[name] = (kind, colour, valence, n_in)
             order.append(("vertex", name))

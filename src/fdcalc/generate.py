@@ -58,8 +58,8 @@ from math import factorial, prod
 
 from .colours import ColourEntry, ColourTable
 from .diagram import (
-    Diagram, DiagramError, EMPTY, connected_components, degree,
-    disjoint_union, mark_root, star_for,
+    Diagram, DiagramError, EMPTY, component_labels, degree, disjoint_union,
+    mark_root, star_for,
 )
 from .iso import automorphism_generators, canonical_code
 
@@ -87,6 +87,8 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
     ``connected`` keeps single-component diagrams only (this drops the empty
     diagram).  ``reduced`` keeps diagrams in which every component touches
     the root marking; with an empty root that leaves the empty diagram alone.
+    Both filters read one list of component labels per closure
+    (:func:`fdcalc.diagram.component_labels`) and build no sub-diagram.
     Classes come back sorted by degree, then by canonical code.  Each star
     multiset canonicalises one multigraph per orbit of the automorphisms of
     its stars and the root, the first of its orbit in walk order, so the
@@ -99,18 +101,16 @@ def enumerate_closed(table: ColourTable, *, max_degree: int,
     for _, base, _, generators in star_bases(piece, table,
                                              max_degree - degree(piece)):
         for d, _ in closure_orbits(base, generators):
-            if connected and len(connected_components(d)) != 1:
-                continue
-            if reduced and not _is_reduced(d):
-                continue
+            if connected or reduced:
+                labels = component_labels(d)
+                if connected and len(set(labels)) != 1:
+                    continue
+                if reduced and set(labels) - {
+                        k for v, k in zip(d.vertices, labels) if v.root}:
+                    continue
             code = canonical_code(d)
             found.append(DiagramClass(d, code.aut_order, degree(d), code.code))
     return sorted(found, key=lambda c: (c.degree, c.key))
-
-
-def _is_reduced(d: Diagram) -> bool:
-    return all(any(v.root for v in comp.vertices)
-               for comp in connected_components(d))
 
 
 def closure_orbits(piece: Diagram, generators):

@@ -124,13 +124,15 @@ class MultiSeries:
                                self.max_degree)
         bound = min(self.max_degree, other.max_degree)
         acc: dict[Monomial, Fraction] = {}
+        right = [(mb, cb, _mono_weight(mb))
+                 for mb, cb in other.coeffs.items()]
         for ma, ca in self.coeffs.items():
             wa = _mono_weight(ma)
-            for mb, cb in other.coeffs.items():
-                if wa + _mono_weight(mb) > bound:
+            for mb, cb, wb in right:
+                if wa + wb > bound:
                     continue
                 m = _mono_mul(ma, mb)
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
+                acc[m] = acc.get(m, 0) + ca * cb
         return MultiSeries(acc, bound)
 
     __rmul__ = __mul__

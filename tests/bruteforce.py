@@ -1,12 +1,18 @@
-"""Brute-force oracles for automorphisms, Gaussian moments and series, sharing
-no logic with the canonical search, the moment kernel or the weight-order
-recurrence of :mod:`fdcalc.series`.
+"""Brute-force oracles for automorphisms, components, Gaussian moments and
+series, sharing no logic with the canonical search, the component labels of
+:mod:`fdcalc.diagram`, the moment kernel or the weight-order recurrence of
+:mod:`fdcalc.series`.
 
 :func:`aut_order_bruteforce`, the oracle for |Aut| from
 :func:`fdcalc.iso.canonical_code`, enumerates candidate vertex bijections
 extended by explicit slot bijections and counts the maps commuting with the
 matching.  :func:`is_automorphism` checks one map of slot half-edges, and
 :func:`group_order` lists the group that some maps generate.
+
+:func:`tagged_components`, the oracle for
+:func:`fdcalc.diagram.connected_components` and the census filters, runs a
+union-find over tagged vertices ``("v", i)`` and bare edges ``("b", pair)``
+and builds each component from its own members.
 
 :func:`pairing_moment` sums a Gaussian moment over the perfect matchings of
 its index list, with no memo and no packing, and
@@ -23,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from fdcalc.diagram import Diagram, TypedDiagram
+from fdcalc.diagram import Diagram, TypedDiagram, _norm_pair
 from fdcalc.poly import Poly
 from fdcalc.series import MultiSeries
 
@@ -161,6 +167,51 @@ def group_order(gens: list[dict[int, int]], halves: list[int]) -> int:
                 elements.add(y)
                 todo.append(y)
     return len(elements)
+
+
+def tagged_components(d: Diagram) -> list[Diagram]:
+    """Components as sub-diagrams (half-edge ids preserved), deterministic order.
+
+    The empty diagram has no components; a bare edge is a component of its
+    own.  Root marks survive on the pieces.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for i in range(len(d.vertices)):
+        parent.setdefault(("v", i), ("v", i))
+    for a, b in d.pairs:
+        oa, ob = d.vertex_of(a), d.vertex_of(b)
+        ka = ("v", oa) if oa is not None else ("b", _norm_pair(a, b))
+        kb = ("v", ob) if ob is not None else ("b", _norm_pair(a, b))
+        union(ka, kb)
+
+    groups: dict = {}
+    for key in parent:
+        groups.setdefault(find(key), []).append(key)
+
+    comps = []
+    for members in groups.values():
+        vidx = sorted(i for tag, i in members if tag == "v")
+        bares = [p for tag, p in members if tag == "b"]
+        vs = tuple(d.vertices[i] for i in vidx)
+        halves = {h for v in vs for h in v.slots}
+        pairs = {p for p in d.pairs if p[0] in halves} | set(bares)
+        comps.append(Diagram(vs, frozenset(pairs), frozenset(p for p in d.root_pairs if p in pairs)))
+    comps.sort(key=lambda c: min(c.half_edges, default=-1))
+    return comps
 
 
 def perfect_matchings(items: list):

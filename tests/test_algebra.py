@@ -759,6 +759,34 @@ MALFORMED = ["[]", "3", "null", '"dim"'] + [
 ]
 
 
+# Fields that int() or iteration would misread: fractions, booleans and
+# strings where integers belong, and strings where lists belong.  Read that
+# way, every one of these documents would load.
+WRONG_FIELDS = [
+    (lambda doc: doc.__setitem__("dim", 1.7), "dim"),
+    (lambda doc: doc.__setitem__("dim", True), "dim"),
+    (lambda doc: doc.__setitem__("dim", "1"), "dim"),
+    (lambda doc: doc["colours"][0].update(valence=4.9), "valence"),
+    (lambda doc: doc["colours"][0].update(valence=4.0), "valence"),
+    (lambda doc: doc["colours"][0].update(kind="coupon", inputs=2.0,
+                                          outputs=2), "inputs"),
+    (lambda doc: doc["colours"][0].update(kind="coupon", inputs=3,
+                                          outputs=True), "outputs"),
+    (lambda doc: doc.__setitem__("pairing", "1"), "pairing"),
+    (lambda doc: doc["tensors"].__setitem__("phi4", "1"), "tensor 'phi4'"),
+]
+
+
+@pytest.mark.parametrize("case,field", WRONG_FIELDS,
+                         ids=[f"{i}-{f}" for i, (_, f) in
+                              enumerate(WRONG_FIELDS)])
+def test_load_algebra_takes_json_integers_and_lists(case, field):
+    doc = algebra_doc()
+    case(doc)
+    with pytest.raises(AlgebraError, match=f"^{field} must be an? "):
+        load_algebra(json.dumps(doc))
+
+
 def test_load_algebra_errors():
     doc = algebra_doc()
     del doc["pairing"]

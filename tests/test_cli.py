@@ -356,6 +356,34 @@ def test_error_exits(files, tmp_path):
         assert err == "error: max_degree must be nonnegative\n", argv
 
 
+def test_fractional_fields_and_string_arrays_exit_two(tmp_path):
+    # int() would read 1.7 as 1 and 4.9 as 4, and "1" would be read one
+    # character at a time.
+    bad = tmp_path / "bad.alg"
+    bad.write_text(json.dumps({
+        "dim": 1.7, "colours": [{"name": "phi4", "kind": "sym",
+                                 "valence": 4.9}],
+        "pairing": "1", "tensors": {"phi4": "1"}}))
+    assert run(["free-energy", "--algebra", str(bad), "--max-degree", "8"]
+               ) == (2, "", "error: dim must be an integer, not 1.7\n")
+
+
+def test_legs_past_any_index_exit_two(tmp_path):
+    huge = tmp_path / "huge.fd"
+    huge.write_text(f"vertex a sym phi4 legs {10 ** 30};\n")
+    assert run(["aut", str(huge)]) == (
+        2, "", "error: line 1, column 1: too many legs to number\n")
+
+
+def test_running_out_of_memory_exits_two(files, monkeypatch):
+    def exhaust(path, table):
+        raise MemoryError
+
+    monkeypatch.setattr("fdcalc.cli._load_diagram", exhaust)
+    assert run(["aut", files["theta.fd"]]) == (
+        2, "", "error: out of memory\n")
+
+
 def test_algebra_sums_keep_the_closing_rule(files):
     star, alg = files["star4.fd"], files["quartic.alg"]
     # At 17 every even multiset of quartic stars fits 16 legs.
@@ -591,16 +619,23 @@ def test_each_command_loads_only_its_modules(files, argv, loaded):
 # Commands whose work passes through sets and dicts of diagrams, colours
 # and variables, which iterate in hash order, and string hashes change
 # with ``PYTHONHASHSEED``.
-RERUNS = [
-    ["enumerate", "--table", "cyclic.tbl", "--max-degree", "12",
-     "--connected"],
-    ["closures", "coupons.fd", "--table", "coupon.tbl"],
-    ["free-energy", "--algebra", "exact.alg", "--max-degree", "12"],
-    ["verify", "fubini"],
-]
+RERUNS = {
+    "enumerate --table": ["enumerate", "--table", "cyclic.tbl",
+                          "--max-degree", "12", "--connected"],
+    "enumerate coupon --connected": ["enumerate", "--table", "coupon.tbl",
+                                     "--max-degree", "8", "--connected"],
+    "enumerate quartic --reduced --root": [
+        "enumerate", "--table", "quartic.tbl", "--max-degree", "8",
+        "--reduced", "--root", "star4.fd"],
+    "closures coupons.fd": ["closures", "coupons.fd", "--table",
+                            "coupon.tbl"],
+    "free-energy --algebra": ["free-energy", "--algebra", "exact.alg",
+                              "--max-degree", "12"],
+    "verify fubini": ["verify", "fubini"],
+}
 
 
-@pytest.mark.parametrize("argv", RERUNS, ids=lambda v: " ".join(v[:2]))
+@pytest.mark.parametrize("argv", RERUNS.values(), ids=RERUNS)
 def test_reruns_print_the_same_bytes(files, argv, monkeypatch):
     argv = [files.get(a, a) for a in argv]
     outs = []

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdcalc.diagram import (
     Diagram, DiagramError, TypedDiagram, Vertex, bare_edge, build_diagram,
-    connected_components, degree, disjoint_union, forget_numbering, relabel,
-    symmetric_star,
+    component_labels, connected_components, degree, disjoint_union,
+    forget_numbering, mark_root, relabel, symmetric_star,
 )
 
 import util
+from bruteforce import tagged_components
 
 
 def test_empty_diagram():
@@ -114,6 +117,67 @@ def test_components_of_bare_edges():
     comps = connected_components(d)
     assert len(comps) == 2
     assert any(c.bare_pairs for c in comps)
+
+
+def test_component_labels_name_the_least_vertex():
+    assert component_labels(Diagram()) == []
+    assert component_labels(bare_edge()) == []
+    assert component_labels(disjoint_union(util.figure_eight(),
+                                           util.theta())) == [0, 1, 1]
+    # A chain 0 - 3 - 2 - 1 whose unions meet at the top: every vertex
+    # still reads 0.  A valence-0 vertex and a bare edge stand apart.
+    chain = Diagram(
+        tuple(Vertex("symmetric", "x", (2 * i, 2 * i + 1)) for i in range(4))
+        + (Vertex("symmetric", "o", (), root=True),),
+        frozenset({(1, 6), (3, 4), (5, 7), (8, 9)}))
+    assert component_labels(chain) == [0, 0, 0, 0, 4]
+    looped = Diagram((Vertex("cyclic", "c", (0, 1)),
+                      Vertex("cyclic", "c", (2, 3))),
+                     frozenset({(0, 1), (2, 3)}))
+    assert component_labels(looped) == [0, 1]
+
+
+@st.composite
+def component_diagrams(draw):
+    """Diagrams with valence-0 vertices, root marks on vertices and pairs,
+    and bare edges, some root-marked, on shuffled half-edge ids."""
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from(["symmetric", "cyclic", "coupon"]),
+        st.integers(0, 4), st.booleans()), max_size=6))
+    n_bare = draw(st.integers(0, 3))
+    n_slots = sum(valence for _, valence, _ in specs)
+    ids = draw(st.permutations(range(n_slots + 2 * n_bare)))
+    vertices, at = [], 0
+    for kind, valence, root in specs:
+        slots = tuple(ids[at:at + valence])
+        at += valence
+        vertices.append(Vertex(kind, kind[0], slots,
+                               n_in=0 if kind == "coupon" else None,
+                               root=root))
+    halves = list(draw(st.permutations(ids[:n_slots])))
+    matched = draw(st.integers(0, len(halves) // 2))
+    pairs = [tuple(halves[2 * k:2 * k + 2]) for k in range(matched)]
+    pairs += [tuple(ids[n_slots + 2 * k:n_slots + 2 * k + 2])
+              for k in range(n_bare)]
+    marked = draw(st.lists(st.booleans(), min_size=len(pairs),
+                           max_size=len(pairs)))
+    return Diagram(tuple(vertices), frozenset(pairs),
+                   frozenset(p for p, m in zip(pairs, marked) if m))
+
+
+def _pieces(comps):
+    return [(c.vertices, c.pairs, c.root_pairs) for c in comps]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(component_diagrams())
+@example(Diagram())
+@example(disjoint_union(bare_edge(), bare_edge(5)))
+@example(disjoint_union(mark_root(util.figure_eight()), bare_edge()))
+@example(Diagram((Vertex("symmetric", "o", ()), Vertex("cyclic", "o", ())),
+                 frozenset({(0, 1)}), frozenset({(0, 1)})))
+def test_components_equal_the_tagged_union_find(d):
+    assert _pieces(connected_components(d)) == _pieces(tagged_components(d))
 
 
 def test_relabel_roundtrip():

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import fdcalc.diagram
 from fdcalc.diagram import (
     Diagram, DiagramError, EMPTY, Vertex, bare_edge, connected_components,
     cyclic_star, degree, disjoint_union, mark_root, star_for, symmetric_star,
@@ -17,7 +18,7 @@ from fdcalc.generate import (
 )
 from fdcalc.iso import are_isomorphic, automorphism_generators, canonical_code
 from fdcalc.series import groupoid_integral, partition_series
-from bruteforce import group_order, is_automorphism
+from bruteforce import group_order, is_automorphism, tagged_components
 from util import (
     banded_pair, band_with_loops, coupon_table, cubic_table, cyclic_table,
     dumbbell, figure_eight, mixed_table, quartic_table, run_python, theta,
@@ -66,9 +67,10 @@ def naive_enumerate(table, max_degree, root=None):
 def _enumerate_by_candidates(table, max_degree, root=None, connected=False,
                              reduced=False):
     """Reference census without the orbit quotient: every leg multigraph is
-    instantiated, filtered and canonicalised, and the first multigraph of
-    each code is kept.  The multigraph walk is spelled out here as nested
-    (loops, multiplicities) tuples per node."""
+    instantiated, filtered on its components from the tagged union-find of
+    :func:`bruteforce.tagged_components` and canonicalised, and the first
+    multigraph of each code is kept.  The multigraph walk is spelled out
+    here as nested (loops, multiplicities) tuples per node."""
     def multigraphs(caps):
         n = len(caps)
 
@@ -119,7 +121,7 @@ def _enumerate_by_candidates(table, max_degree, root=None, connected=False,
         for graph in multigraphs(tuple(len(ns) for ns in nodes)):
             d = Diagram(base.vertices, base.pairs | instantiate(nodes, graph),
                         base.root_pairs)
-            comps = connected_components(d)
+            comps = tagged_components(d)
             if connected and len(comps) != 1:
                 continue
             if reduced and not all(any(v.root for v in c.vertices)
@@ -211,6 +213,28 @@ def test_rooted_full_classes():
     out = enumerate_closed(quartic_table(), max_degree=4, root=root)
     assert groupoid_sum(out, 0) == Fraction(1, 8)
     assert groupoid_sum(out, 4) == Fraction(35, 192)
+
+
+def test_census_filters_build_no_component_diagram(monkeypatch):
+    # Both filters read component labels; a sub-diagram built per component
+    # would go through connected_components, which raises here.
+    def refuse(d):
+        raise AssertionError("the census built component diagrams")
+
+    root = symmetric_star("PHI4", 4, special=True)
+    cases = [(quartic_table(), 8, None, {"connected": True}),
+             (quartic_table(), 8, root, {"reduced": True}),
+             (quartic_table(), 8, root, {"connected": True, "reduced": True})]
+    expected = [_enumerate_by_candidates(t, deg, r, **flags)
+                for t, deg, r, flags in cases]
+    monkeypatch.setattr(fdcalc.diagram, "connected_components", refuse)
+    monkeypatch.setattr(generate, "connected_components", refuse,
+                        raising=False)
+    got = [enumerate_closed(t, max_degree=deg, root=r, **flags)
+           for t, deg, r, flags in cases]
+    assert got == expected
+    assert [[c.degree for c in out] for out in got] == [
+        [4, 8, 8], [0, 4, 4, 8, 8, 8, 8, 8, 8], [0, 4, 4, 8, 8, 8, 8, 8, 8]]
 
 
 def test_degree_guard():
