@@ -13,18 +13,19 @@ inserts the copairing (the inverse matrix), one joining two upper slots
 inserts the pairing, and a mixed edge composes directly.  Legs convert in
 the same way so that input axes end up lower and output axes upper.
 
-With rational entries everything is exact and runs on ``fractions`` alone:
-each operand is a flat row-major tuple of integer numerators over one
-common denominator, and the contraction sums products of Python ints.
-Float entries switch the whole algebra to double precision, computed by
-numpy.  numpy is imported only for float algebras and for the public names
-that hand out arrays: the ``pairing``, ``copairing``, ``eye`` and
-``tensors`` of an exact algebra are built as object arrays when first read,
-and so is the amplitude of an open diagram.
+Every operand has one form in both modes: its row-major entries over a
+denominator.  Rational entries are integer numerators over their least
+common denominator, and float entries a flat float64 array over 1.  The
+mode is decided only where numbers are made, where the pairing is
+inverted, in the pairwise dot (products of Python ints, or numpy's
+``tensordot``) and in the final scaling, so an exact algebra runs on
+``fractions`` alone.  numpy is imported only for float algebras and for the
+public names that hand out arrays: the ``pairing``, ``copairing``, ``eye``
+and ``tensors`` are built when first read, in both modes, and so is the
+amplitude of an open diagram.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -42,7 +43,9 @@ from .diagram import (
 )
 from .generate import closure_orbits, star_bases
 from .iso import aut_order
-from .poly import SYMMETRY_TOL, Poly, integer_form, invert_exact, is_exact
+from .poly import (
+    SYMMETRY_TOL, Poly, exponent_vectors, integer_form, invert_exact, is_exact,
+)
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, diagram_monomial, variable_for,
 )
@@ -116,6 +119,12 @@ def _permutations(n: int):
     return [(1, 0) + tuple(range(2, n))] + (_rotations(n) if n > 2 else [])
 
 
+# The generators of the group each kind's tensors must be invariant under,
+# and the word that names that invariance.
+_GROUPS = {"cyclic": (_rotations, "rotation"),
+           "symmetric": (_permutations, "permutation")}
+
+
 # -- the algebra --------------------------------------------------------------
 
 class AlgebraSpec:
@@ -132,9 +141,9 @@ class AlgebraSpec:
     compared on the tensor's integer numerators; in doubles each generator
     is held to ``SYMMETRY_TOL``, and longer words may drift a little more.
 
-    An exact algebra keeps every operand in its integer form and builds the
-    numpy arrays ``pairing``, ``copairing``, ``eye`` and ``tensors`` only
-    when they are read; a float algebra holds them from the start.
+    Every operand is kept as its row-major entries over a denominator, 1
+    for floats, and the numpy arrays ``pairing``, ``copairing``, ``eye`` and
+    ``tensors`` are built only when they are read.
     """
 
     def __init__(self, dim: int, pairing, table: ColourTable, tensors: dict):
@@ -152,23 +161,18 @@ class AlgebraSpec:
         if not _equal(flat, _transposed(flat, dim, (1, 0)), self.exact):
             raise AlgebraError("pairing matrix must be symmetric")
         rows = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
-        # The operands `_contract` sees: integer forms when exact, float
-        # arrays otherwise.
         if self.exact:
             inverse, _ = invert_exact(rows)
             if inverse is None:
                 raise AlgebraError("pairing matrix is singular")
-            self._pairing, self._copairing, self._eye = map(integer_form, (
-                flat, [x for row in inverse for x in row],
-                [Fraction(int(i == j)) for i in range(dim)
-                 for j in range(dim)]))
         else:
             import numpy as np
-            self._pairing = np.array(rows, dtype=float)
-            if np.linalg.cond(self._pairing) > COND_LIMIT:
+            if np.linalg.cond(rows) > COND_LIMIT:
                 raise AlgebraError("pairing matrix is ill conditioned")
-            self._copairing = np.linalg.inv(self._pairing)
-            self._eye = np.eye(dim)
+            inverse = np.linalg.inv(rows)
+        self._pairing, self._copairing, self._eye = map(self._form, (
+            flat, [x for row in inverse for x in row],
+            [int(i == j) for i in range(dim) for j in range(dim)]))
 
         self._ordinary_of = {e.bold: e.name for e in table.ordinary()}
         self._tensors = {}
@@ -177,37 +181,36 @@ class AlgebraSpec:
             if entry.special:
                 raise AlgebraError(
                     f"tensors attach to ordinary colours, not {name!r}")
-            shape = (dim,) * entry.valence
-            flat = _as_tensor(data, shape, self.exact)
-            if self.exact:
-                form = integer_form(flat)
-                vals = list(form[0])
-            else:
-                form = np.array(flat, dtype=float).reshape(shape)
-                vals = flat
-            if entry.kind == "cyclic":
-                for perm in _rotations(entry.valence):
-                    if not _equal(vals, _transposed(vals, dim, perm),
-                                  self.exact):
-                        raise AlgebraError(
-                            f"tensor {name!r} is not rotation invariant")
-            elif entry.kind == "symmetric":
-                for perm in _permutations(entry.valence):
-                    if not _equal(vals, _transposed(vals, dim, perm),
-                                  self.exact):
-                        raise AlgebraError(
-                            f"tensor {name!r} is not permutation invariant")
+            form = self._form(_as_tensor(data, (dim,) * entry.valence,
+                                         self.exact))
+            vals = list(form[0])
+            generators, word = _GROUPS.get(entry.kind, (lambda n: [], ""))
+            for perm in generators(entry.valence):
+                if not _equal(vals, _transposed(vals, dim, perm), self.exact):
+                    raise AlgebraError(
+                        f"tensor {name!r} is not {word} invariant")
             self._tensors[name] = form
 
-    def _array(self, form, rank: int):
-        """The public array of an operand: a float one is its own array, an
-        exact one becomes an object array of Fractions."""
-        if not self.exact:
-            return form
+    def _form(self, flat) -> tuple:
+        """An operand from its row-major entries: integer numerators over
+        their least denominator when exact, a float64 array over 1
+        otherwise."""
+        if self.exact:
+            return integer_form(flat)
         import numpy as np
-        ints, den = form
-        return np.array([Fraction(n, den) for n in ints],
-                        dtype=object).reshape((self.dim,) * rank)
+        return np.array(flat, dtype=float), 1
+
+    def _number(self, n, den):
+        """One entry of an operand, numerator ``n`` over ``den``."""
+        return Fraction(n, den) if self.exact else float(n)
+
+    def _array(self, form, rank: int):
+        """The public array of an operand: floats, or an object array of
+        Fractions when exact."""
+        import numpy as np
+        nums, den = form
+        return np.array([self._number(n, den) for n in nums]).reshape(
+            (self.dim,) * rank)
 
     @cached_property
     def pairing(self):
@@ -229,11 +232,9 @@ class AlgebraSpec:
     def pairing_rows(self) -> list[list]:
         """The pairing as nested lists of Fractions or floats, without
         building its array."""
-        if not self.exact:
-            return self._pairing.tolist()
-        ints, den = self._pairing
-        return [[Fraction(n, den) for n in ints[i:i + self.dim]]
-                for i in range(0, len(ints), self.dim)]
+        nums, den = self._pairing
+        return [[self._number(n, den) for n in nums[i:i + self.dim]]
+                for i in range(0, len(nums), self.dim)]
 
     def _tensor_name(self, colour: str) -> str:
         """The ordinary colour whose tensor ``colour`` carries; special
@@ -254,20 +255,16 @@ class AlgebraSpec:
 
     def _entry(self, colour: str, idx: tuple[int, ...]):
         """One entry of the tensor of a colour."""
-        form = self._tensors[self._tensor_name(colour)]
-        if not self.exact:
-            return form[idx]
-        ints, den = form
+        nums, den = self._tensors[self._tensor_name(colour)]
         offset = 0
         for i in idx:
             offset = offset * self.dim + i
-        return Fraction(ints[offset], den)
+        return self._number(nums[offset], den)
 
     @property
     def is_orthonormal(self) -> bool:
-        if self.exact:
-            return self._pairing == self._eye
-        return _equal(self._pairing.flat, self._eye.flat, False)
+        (p, p_den), (e, e_den) = self._pairing, self._eye
+        return p_den == e_den and _equal(p, e, self.exact)
 
     def orthonormalized(self) -> "AlgebraSpec":
         """Equivalent algebra in a basis where the pairing is the identity.
@@ -297,7 +294,7 @@ class AlgebraSpec:
         return AlgebraSpec(self.dim, np.eye(self.dim), self.table, tensors)
 
     def one(self):
-        return Fraction(1) if self.exact else 1.0
+        return self._number(1, 1)
 
 
 # -- amplitude engine ---------------------------------------------------------
@@ -323,8 +320,9 @@ def _edge_operand(a: AlgebraSpec, up1: bool, up2: bool):
 
 
 def _dot_exact(x, lx, y, ly, shared, dim):
-    """Tensordot of flat integer tensors over the ``shared`` labels; the
-    result's axes are the other labels of ``x``, then those of ``y``."""
+    """Tensordot of flat integer tensors over the ``shared`` labels, an
+    outer product when none is shared; the result's axes are the other
+    labels of ``x``, then those of ``y``."""
     free_x = [L for L in lx if L not in shared]
     free_y = [L for L in ly if L not in shared]
     xs = _transposed(x, dim, [lx.index(L) for L in free_x + shared])
@@ -335,21 +333,12 @@ def _dot_exact(x, lx, y, ly, shared, dim):
     return [sum(map(mul, r, c)) for r in rows for c in cols], free_x + free_y
 
 
-def _outer_exact(x, y):
-    return [u * v for u in x for v in y]
-
-
 def _dot_float(x, lx, y, ly, shared, dim):
     import numpy as np
-    arr = np.asarray(np.tensordot(
-        x, y, axes=([lx.index(L) for L in shared],
-                    [ly.index(L) for L in shared])), dtype=x.dtype)
-    return arr, [L for L in lx + ly if L not in shared]
-
-
-def _outer_float(x, y):
-    import numpy as np
-    return np.asarray(np.multiply.outer(x, y), dtype=y.dtype)
+    arr = np.tensordot(
+        x.reshape((dim,) * len(lx)), y.reshape((dim,) * len(ly)),
+        axes=([lx.index(L) for L in shared], [ly.index(L) for L in shared]))
+    return arr.ravel(), [L for L in lx + ly if L not in shared]
 
 
 def _contract(ops: list[tuple[object, list]], ext: list,
@@ -359,11 +348,11 @@ def _contract(ops: list[tuple[object, list]], ext: list,
     Every doubled label names an axis of two different operands.  While
     two operands share labels, the pair whose contraction has the fewest
     entries (ties to the lowest operand indices) is contracted over all the
-    labels it shares in one step; outer products join what is left.  Exact
-    operands enter as integer numerators, contracted in Python ints, and
-    the product of their denominators is divided out once at the end;
-    float operands are contracted by numpy.  Returns the entries of the
-    result over the labels ``ext``, in row-major order.
+    labels it shares in one step; outer products join what is left.  Each
+    operand enters as its entries over a denominator: exact numerators are
+    contracted in Python ints and float entries by numpy, and the product
+    of the denominators is divided out once at the end.  Returns the
+    entries of the result over the labels ``ext``, in row-major order.
     """
     counts = Counter(L for _, labs in ops for L in labs if isinstance(L, int))
     for lab in sorted(counts):
@@ -371,15 +360,12 @@ def _contract(ops: list[tuple[object, list]], ext: list,
             raise AlgebraError(f"label {lab} appears {counts[lab]} times")
 
     dim = a.dim
-    dot, outer = ((_dot_exact, _outer_exact) if a.exact
-                  else (_dot_float, _outer_float))
+    dot = _dot_exact if a.exact else _dot_float
     scale = 1
     # operand id -> (entries, labels); a merged pair keeps the lower id
     work = {}
-    for k, (form, labs) in enumerate(ops):
-        if a.exact:
-            form, den = form
-            scale *= den
+    for k, ((form, den), labs) in enumerate(ops):
+        scale *= den
         work[k] = (form, list(labs))
     owners: dict[int, list[int]] = {}
     for k, (_, labs) in work.items():
@@ -402,18 +388,17 @@ def _contract(ops: list[tuple[object, list]], ext: list,
             if L in owners:
                 owners[L] = sorted(i if k == j else k for k in owners[L])
 
-    result, labels = None, []
-    for x, labs in work.values():
-        result = x if result is None else outer(result, x)
-        labels += labs
-    if result is None:
+    if not work:
         return [a.one()]
-    perm = [labels.index(L) for L in ext]
+    (result, labels), *rest = work.values()
+    for x, labs in rest:
+        result, labels = dot(result, labels, x, labs, [], dim)
+    entries = _transposed(result, dim, [labels.index(L) for L in ext])
     if a.exact:
-        return [Fraction(n, scale) for n in _transposed(result, dim, perm)]
-    if result.ndim == 0:
-        return [result.item()]
-    return list(result.transpose(perm).flat)
+        return [Fraction(n, scale) for n in entries]
+    # A closed float amplitude is a Python float, an open one's entries
+    # numpy floats.
+    return list(entries) if ext else [result.item()]
 
 
 def _operands(t: TypedDiagram, a: AlgebraSpec) -> tuple[list, list]:
@@ -472,15 +457,10 @@ def leg_polynomial(d: Diagram, a: AlgebraSpec) -> Poly:
     """
     legs = tuple(d.legs)
     entries = _contract(*_operands(TypedDiagram(d, legs, ()), a), a)
-    if not legs:
-        return Poly.constant(a.dim, entries[0])
     terms: dict[tuple[int, ...], object] = {}
-    for idx, c in zip(itertools.product(range(a.dim), repeat=len(legs)),
-                      entries):
-        if not c:
-            continue
-        e = tuple(idx.count(i) for i in range(a.dim))
-        terms[e] = terms.get(e, 0) + c
+    for e, c in zip(exponent_vectors(a.dim, len(legs)), entries):
+        if c:
+            terms[e] = terms.get(e, 0) + c
     return Poly(a.dim, terms)
 
 
@@ -548,7 +528,7 @@ def amplitude_coloured(c: EdgeColouring, a: AlgebraSpec):
     value = a.one()
     for v in c.base.vertices:
         value = value * a._entry(v.colour, tuple(colour[h] for h in v.slots))
-    return value if a.exact else float(value)
+    return value
 
 
 # -- file format --------------------------------------------------------------

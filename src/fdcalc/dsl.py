@@ -269,9 +269,10 @@ def parse_diagram(text: str, table: ColourTable | None = None):
         return d
 
     m, n = header
-    if sorted(in_map) != list(range(1, m + 1)):
+    # Counting the statements first builds no range longer than the file.
+    if len(in_map) != m or sorted(in_map) != list(range(1, m + 1)):
         raise ParseError(f"inputs must fill 1..{m}", *c.end)
-    if sorted(out_map) != list(range(1, n + 1)):
+    if len(out_map) != n or sorted(out_map) != list(range(1, n + 1)):
         raise ParseError(f"outputs must fill 1..{n}", *c.end)
     unused = [h for h in d.legs if h not in used]
     if unused:

@@ -13,11 +13,12 @@ weight runs on ``fractions`` alone.  ``GaussianSpec.moment``,
 one moment kernel, keyed by packed exponents: a monomial's exponent vector
 is one int, so multiplying monomials adds keys.  An exact average sums
 integer numerators over one power of the covariance denominator and makes
-one Fraction at the end; a float weight runs the same kernel with
-denominator 1, in the summation order of the sorted index lists, so its
-sums keep their bits.  numpy serves float weights, the quadrature, and the
-public arrays: ``wick_moment`` and the ``pairing`` and ``covariance`` of an
-exact weight, which are built when first read.  The diagram side
+one Fraction at the end; a float weight keeps its covariance in the same
+form, numpy float64 entries over denominator 1, and runs the same kernel
+in the summation order of the sorted index lists, so its sums keep their
+bits.  numpy serves float weights, the quadrature, and the public arrays:
+``wick_moment`` and the ``pairing`` and ``covariance`` of a weight, which
+both modes build when first read.  The diagram side
 (``algebra``, ``iso``, ``series``) is imported by the functions that hold
 the roads against each other, so a weight and its averages load ``poly``
 alone.
@@ -33,7 +34,9 @@ from functools import cached_property
 from math import factorial, pi, prod, sqrt
 from typing import TYPE_CHECKING
 
-from .poly import SYMMETRY_TOL, Poly, integer_form, invert_exact, is_exact
+from .poly import (
+    SYMMETRY_TOL, Poly, exponent_vectors, integer_form, invert_exact, is_exact,
+)
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
@@ -78,9 +81,8 @@ class GaussianSpec:
     the total degree.  The kernel pairs the least index present with each
     index in turn, in ascending order, adding a repeated index's term once
     per repeat, so a float moment is summed in the order of its sorted
-    index list.  A float weight holds ``pairing`` and ``covariance`` as
-    numpy arrays from the start; an exact one builds them as object arrays
-    when they are first read.
+    index list.  Both modes build ``pairing`` and ``covariance`` when they
+    are first read, as object arrays of Fractions when exact.
     """
 
     def __init__(self, dim: int, pairing):
@@ -102,7 +104,6 @@ class GaussianSpec:
             inverse, pivots = invert_exact(mat)
             if not all(p is not None and p > 0 for p in pivots):
                 raise GaussianError("pairing must be positive definite")
-            self._rows = mat
             nums, self._den = integer_form(x for row in inverse for x in row)
             self._cov = [nums[i:i + dim] for i in range(0, len(nums), dim)]
         else:
@@ -110,26 +111,26 @@ class GaussianSpec:
             for k in range(1, dim + 1):
                 if np.linalg.det(np.array([row[:k] for row in mat[:k]])) <= 0:
                     raise GaussianError("pairing must be positive definite")
-            self.pairing = np.array(mat, dtype=float)
-            self.covariance = np.linalg.inv(self.pairing)
-            self._cov = [list(row) for row in self.covariance]
+            self._cov = [list(row) for row in np.linalg.inv(mat)]
             self._den = 1
+        self._rows = mat
         # The moment kernel for each digit width, each with its own memo.
         self._kernels: dict[int, object] = {}
 
-    # A float weight sets both arrays in ``__init__``, which hides these.
-    @cached_property
-    def pairing(self):
+    def _array(self, rows):
         import numpy as np
         # reshape keeps the 0 x 0 weight square
-        return np.array(self._rows, dtype=object).reshape(self.dim, self.dim)
+        return np.array(rows, dtype=object if self.exact else float).reshape(
+            self.dim, self.dim)
+
+    @cached_property
+    def pairing(self):
+        return self._array(self._rows)
 
     @cached_property
     def covariance(self):
-        import numpy as np
-        return np.array([[Fraction(n, self._den) for n in row]
-                         for row in self._cov],
-                        dtype=object).reshape(self.dim, self.dim)
+        return self._array([[self._scaled(n, 1) for n in row]
+                            for row in self._cov])
 
     def one(self):
         return Fraction(1) if self.exact else 1.0
@@ -459,8 +460,7 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
     tensors = {"vec": list(point)}
     for n in orders:
         flat = []
-        for idx in itertools.product(range(dim), repeat=n):
-            e = tuple(idx.count(i) for i in range(dim))
+        for e in exponent_vectors(dim, n):
             c = phi.terms.get(e)
             flat.append(c * prod(factorial(k) for k in e) if c else 0)
         tensors[f"d{n}"] = flat

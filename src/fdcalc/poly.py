@@ -6,10 +6,11 @@ so exact and numeric pipelines share the type.
 
 The module also holds the one exact elimination, ``invert_exact``, which
 gives the copairing of an algebra and the covariance of a Gaussian weight
-together with the pivots behind its positivity check, and ``integer_form``,
-which lets exact arithmetic run on Python ints.  ``SYMMETRY_TOL`` is
-the tolerance to which a float pairing matrix must be symmetric, in an
-algebra and in a Gaussian weight alike.
+together with the pivots behind its positivity check, ``integer_form``,
+which lets exact arithmetic run on Python ints, and ``exponent_vectors``,
+which turns the index tuples of a dense tensor into monomials.
+``SYMMETRY_TOL`` is the tolerance to which a float pairing matrix must be
+symmetric, in an algebra and in a Gaussian weight alike.
 """
 from __future__ import annotations
 
@@ -81,6 +82,18 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def exponent_vectors(dim: int, n: int) -> list[tuple[int, ...]]:
+    """The exponent vector of each index tuple of
+    ``itertools.product(range(dim), repeat=n)``, in that row-major order:
+    entry i counts the i's in the tuple.  Each vector is the vector of the
+    tuple's first n - 1 indices plus one unit vector."""
+    vectors = [(0,) * dim]
+    for _ in range(n):
+        vectors = [e[:i] + (e[i] + 1,) + e[i + 1:]
+                   for e in vectors for i in range(dim)]
+    return vectors
 
 
 def integer_form(values) -> tuple[tuple[int, ...], int]:

@@ -22,6 +22,10 @@ powers formed by ``Poly``'s own product.
 :func:`power_sum` sums a series' powers, each formed by the series product,
 and :func:`exp_by_power_sum`, :func:`log_by_power_sum` and
 :func:`reciprocal_by_power_sum` are the Taylor series it gives.
+
+:func:`exponent_vectors_by_count` counts the indices of each tuple of a
+dense tensor's row-major walk, the oracle for
+:func:`fdcalc.poly.exponent_vectors`.
 """
 from __future__ import annotations
 
@@ -283,3 +287,10 @@ def reciprocal_by_power_sum(z: MultiSeries) -> MultiSeries:
     t = z/c - 1."""
     c = z.coefficient(())
     return power_sum(z / c - 1, lambda k: (-1) ** k) / c
+
+
+def exponent_vectors_by_count(dim: int, n: int) -> list[tuple[int, ...]]:
+    """The exponent vector of each index tuple of a dense tensor of rank n,
+    in row-major order, counted index by index."""
+    return [tuple(idx.count(i) for i in range(dim))
+            for idx in itertools.product(range(dim), repeat=n)]

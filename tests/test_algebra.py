@@ -676,6 +676,15 @@ def test_colourings_refuse_skew_pairing():
         amplitude_coloured(expand_colourings(loop, 2)[0], a)
 
 
+def test_colourings_refuse_open_diagrams():
+    table = standard_table(("symmetric", "o2", 2))
+    a = AlgebraSpec(2, EYE2, table, {"o2": np.array(EYE2, dtype=object)})
+    (star,) = expand_colourings(symmetric_star("o2", 2), 2)
+    with pytest.raises(AlgebraError,
+                       match="open diagrams need numbered endpoints"):
+        amplitude_coloured(star, a)
+
+
 def test_orthonormalized_preserves_closed_amplitudes():
     rng = random.Random(9)
     a = rand_algebra(rng)

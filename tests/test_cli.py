@@ -375,6 +375,75 @@ def test_legs_past_any_index_exit_two(tmp_path):
         2, "", "error: line 1, column 1: too many legs to number\n")
 
 
+HUGE = 10 ** 30
+
+
+@pytest.mark.parametrize("text,stderr", [
+    (f"type ({HUGE},0)\nwire w;\nin 1 = w.1;\nin 2 = w.2;\n",
+     f"error: line 4, column 12: inputs must fill 1..{HUGE}\n"),
+    (f"type (0,{HUGE})\nwire w;\nout 1 = w.1;\nout 2 = w.2;\n",
+     f"error: line 4, column 13: outputs must fill 1..{HUGE}\n"),
+], ids=["inputs", "outputs"])
+def test_type_header_past_its_statements_exits_two(tmp_path, text, stderr):
+    typed = tmp_path / "typed.fd"
+    typed.write_text(text)
+    assert run(["aut", str(typed)]) == (2, "", stderr)
+
+
+# Colour-table refusals a table file reaches, each with its message.
+BAD_TABLES = {
+    "bad name": ("sym 4 9phi ordinary PHI\nsym 4 PHI special -\n",
+                 "bad colour name '9phi'"),
+    "coupon arity range": (
+        "coupon(0,0) 0 t ordinary T\ncoupon(0,0) 0 T special -\n",
+        "t: coupon arity out of range"),
+    "valence": ("sym 0 phi ordinary PHI\nsym 0 PHI special -\n",
+                "phi: valence must be a positive int"),
+    "partner not special": (
+        "sym 4 phi ordinary psi\nsym 4 psi ordinary PSI\n"
+        "sym 4 PSI special -\n",
+        "phi: bold partner 'psi' is not a special colour"),
+    "partner kind": ("sym 4 phi ordinary PHI\ncyc 4 PHI special -\n",
+                     "phi: partner 'PHI' has different kind or arity"),
+    "shared partner": (
+        "sym 4 phi ordinary PHI\nsym 4 psi ordinary PHI\n"
+        "sym 4 PHI special -\n", "bold_of must be injective"),
+}
+
+
+@pytest.mark.parametrize("text,message", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_colour_table_refusals_exit_two(tmp_path, text, message):
+    table = tmp_path / "bad.tbl"
+    table.write_text(text)
+    line = len(text.splitlines()) + 1
+    assert run(["partition", "--table", str(table), "--max-degree", "4"]) == (
+        2, "", f"error: line {line}, column 1: {message}\n")
+
+
+# Algebra files refused after their fields parse, each with its message.
+BAD_ALGEBRAS = {
+    "ill conditioned": ({"pairing": [1.0, 0.0, 0.0, 1e-13],
+                         "tensors": {"phi4": [1.0] * 16}},
+                        "pairing matrix is ill conditioned"),
+    "boolean": ({"pairing": [True, 0, 0, 1]}, "booleans are not numbers"),
+    "colour table": ({"colours": [{"name": "phi4", "kind": "sym",
+                                   "valence": 4, "bold": "1x"}]},
+                     "bad colour name '1x'"),
+}
+
+
+@pytest.mark.parametrize("doc,message", BAD_ALGEBRAS.values(),
+                         ids=BAD_ALGEBRAS)
+def test_algebra_refusals_exit_two(tmp_path, doc, message):
+    alg = tmp_path / "bad.alg"
+    alg.write_text(json.dumps({
+        "dim": 2, "colours": [{"name": "phi4", "kind": "sym", "valence": 4}],
+        "pairing": ["1", "0", "0", "1"], "tensors": {"phi4": ["1"] * 16}}
+        | doc))
+    assert run(["partition", "--algebra", str(alg), "--max-degree", "4"]) == (
+        2, "", f"error: {message}\n")
+
+
 def test_running_out_of_memory_exits_two(files, monkeypatch):
     def exhaust(path, table):
         raise MemoryError

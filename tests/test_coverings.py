@@ -113,6 +113,20 @@ def test_cut_covering_over_rooted_enumeration():
             assert are_isomorphic(reassemble(c.rep), unmark(cls.rep))
 
 
+def test_cut_covering_of_a_theta_rooted_at_its_second_vertex():
+    # Every closure edge runs from the unrooted vertex to the root, so the
+    # root holds the larger half-edge of each.
+    first, second = theta().vertices
+    psi = Diagram((first, Vertex(second.kind, second.colour, second.slots,
+                                 root=True)), theta().pairs)
+    cov = cut_covering(psi)
+    assert cov.degree == 6 and cov.cardinality_ok()
+    report = covering_report(cov, rng=random.Random(4))
+    assert report.pullback and report.fubini and report.pushpull
+    for c in cov.classes:
+        assert are_isomorphic(reassemble(c.rep), unmark(psi))
+
+
 def test_cut_covering_requires_marked_closed_input():
     with pytest.raises(CoveringError):
         cut_covering(symmetric_star("phi4", 4))

@@ -3,9 +3,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdcalc.diagram import (
-    Diagram, DiagramError, TypedDiagram, Vertex, bare_edge, build_diagram,
-    component_labels, connected_components, degree, disjoint_union,
-    forget_numbering, mark_root, relabel, symmetric_star,
+    Diagram, DiagramError, EdgeColouring, TypedDiagram, Vertex, bare_edge,
+    build_diagram, component_labels, connected_components, degree,
+    disjoint_union, forget_numbering, mark_root, relabel, symmetric_star,
 )
 
 import util
@@ -91,6 +91,25 @@ def test_build_diagram_checks_table():
         build_diagram([("symmetric", "phi4", (0, 1, 2))], {}, t)
     with pytest.raises(DiagramError):
         build_diagram([("symmetric", "phi4", (0, 1, 2, 3))], {0: 1}, t)
+    v = Vertex("symmetric", "phi4", (3, 2, 1, 0))
+    assert build_diagram([v], {0: 1, 1: 0, 2: 3, 3: 2}, t) == \
+        util.figure_eight()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Diagram((), frozenset({(0, 1)}), frozenset({(2, 3)})),
+     "root_pairs must be a subset of pairs"),
+    (lambda: EdgeColouring(util.theta(), (((0, 3), 0), ((1, 4), -1),
+                                          ((2, 5), 0))),
+     "colour indices start at 0"),
+    (lambda: relabel(util.theta(), dict.fromkeys(range(6), 0)),
+     "relabelling must be injective"),
+    (lambda: build_diagram([("symmetric", "x", (0, 1))], {0: 0, 1: 1}),
+     "matching fixes half-edge 0"),
+], ids=["root pairs", "colour index", "relabel", "fixed point"])
+def test_refusals_name_their_fault(make, message):
+    with pytest.raises(DiagramError, match=message):
+        make()
 
 
 def test_typed_validation():

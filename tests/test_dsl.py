@@ -127,6 +127,9 @@ def test_empty_source():
     ("hedgehog;", "expected a statement"),
     ("vertex a sym x legs 2; @", "stray character"),
     ("vertex a sym x legs 2; edge a.1 - a.1;", "already connected"),
+    ("type 1,0) wire w;", "expected '('"),
+    ("vertex 9 sym x legs 2;", "expected a vertex name"),
+    ("vertex", "expected a vertex name"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:

@@ -117,6 +117,23 @@ def test_exact_covariance_inverts_pairing():
         assert (g.pairing.dot(g.covariance) == np.eye(dim)).all()
 
 
+def test_float_arrays_are_built_when_first_read():
+    g = GaussianSpec(2, [[2.0, 0.5], [0.5, 1.0]])
+    assert "pairing" not in vars(g) and "covariance" not in vars(g)
+    assert g.pairing.dtype == g.covariance.dtype == float
+    assert g.pairing.tolist() == [[2.0, 0.5], [0.5, 1.0]]
+    assert np.array_equal(g.covariance, np.linalg.inv(g.pairing))
+
+
+def test_moment_and_average_refuse_other_spaces():
+    g = GaussianSpec(2, PD2)
+    with pytest.raises(GaussianError, match="coordinate index out of range"):
+        g.moment((0, 2))
+    with pytest.raises(GaussianError,
+                       match="polynomial and weight live on different spaces"):
+        poly_average(Poly(3, {(1, 1, 0): F(1)}), g)
+
+
 def test_wick_moment_frozen_values():
     g = GaussianSpec(1, [[F(1)]])
     assert wick_moment(2, g)[0, 0] == 1

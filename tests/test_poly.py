@@ -1,15 +1,18 @@
 """The exact kernels of ``poly``: the elimination against a Leibniz-sum
-determinant, and the integer form.
+determinant, the integer form, and the exponent vectors of a row-major
+walk against counting each index tuple.
 
-The oracle expands determinants over permutations and shares no code with
-``fdcalc``.
+The oracles expand determinants over permutations and count indices, and
+share no code with ``fdcalc``.
 """
 import itertools
 import math
 import random
 from fractions import Fraction as F
 
-from fdcalc.poly import integer_form, invert_exact
+from fdcalc.poly import Poly, exponent_vectors, integer_form, invert_exact
+
+from bruteforce import exponent_vectors_by_count
 
 
 def leibniz_det(m):
@@ -108,3 +111,16 @@ def test_integer_form_over_the_least_denominator():
         # A smaller common denominator would divide den and every numerator.
         assert math.gcd(den, *nums) == 1
     assert integer_form([]) == ((), 1)
+
+
+def test_exponent_vectors_match_counting_each_tuple():
+    for dim in range(1, 5):
+        for n in range(7):
+            assert (exponent_vectors(dim, n)
+                    == exponent_vectors_by_count(dim, n)), (dim, n)
+
+
+def test_poly_text():
+    p = Poly(2, {(2, 0): F(1, 2), (0, 1): 3, (0, 0): 1, (1, 1): 0})
+    assert str(p) == "1 + 3*v1 + 1/2*v0^2"
+    assert str(Poly(2)) == "0"

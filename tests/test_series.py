@@ -148,8 +148,11 @@ def test_domain_errors():
         with pytest.raises(ValueError,
                            match="cannot invert a series without constant term"):
             invert()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot raise a truncation bound"):
         x.truncate(12)
+    with pytest.raises(DiagramError,
+                       match="special colour 'PHI4' carries no coupling"):
+        variable_for(quartic_table(), "PHI4")
     with pytest.raises(ValueError):
         VariableKey("bad", 0)
 
