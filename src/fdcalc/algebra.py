@@ -44,7 +44,8 @@ from .diagram import (
 from .generate import closure_orbits, star_bases
 from .iso import aut_order
 from .poly import (
-    SYMMETRY_TOL, Poly, exponent_vectors, integer_form, invert_exact, is_exact,
+    SYMMETRY_TOL, Poly, exponent_vectors, has_shape, integer_form,
+    invert_exact, is_exact, row_major,
 )
 from .series import (
     DEFAULT_DEGREE, MultiSeries, VariableKey, diagram_monomial, variable_for,
@@ -62,28 +63,12 @@ class AlgebraError(ValueError):
 # A tensor with ``dim`` values per axis is a flat sequence of its entries in
 # row-major order.
 
-def _entries(data) -> tuple[tuple[int, ...], list]:
-    """The shape and the row-major entries of nested lists, read the way
-    numpy reads them; an array, at any depth, is read through its
-    ``tolist``."""
-    shape, level = [], [data]
-    while True:
-        level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
-        if not (all(isinstance(x, (list, tuple)) for x in level)
-                and len({len(x) for x in level}) == 1):
-            return tuple(shape), level
-        shape.append(len(level[0]))
-        level = [y for x in level for y in x]
-
-
 def _as_tensor(entries, shape: tuple[int, ...], exact: bool) -> list:
-    """The entries that :func:`_entries` read, checked against ``shape``
-    (a flat list of the right length passes) and converted to Fractions or
-    floats."""
-    got, flat = entries
-    if got != shape and not (len(got) == 1 and len(flat) == math.prod(shape)):
-        raise AlgebraError(f"tensor has shape {got}, expected {shape}")
-    return [Fraction(x) if exact else float(x) for x in flat]
+    """The entries that :func:`fdcalc.poly.row_major` read, checked against
+    ``shape`` and converted to Fractions or floats."""
+    if not has_shape(entries, shape):
+        raise AlgebraError(f"tensor has shape {entries[0]}, expected {shape}")
+    return [Fraction(x) if exact else float(x) for x in entries[1]]
 
 
 def _transposed(vals, dim: int, perm) -> list:
@@ -152,8 +137,8 @@ class AlgebraSpec:
         self.dim = dim
         self.table = table
 
-        pairing = _entries(pairing)
-        raw = {name: _entries(data) for name, data in tensors.items()}
+        pairing = row_major(pairing)
+        raw = {name: row_major(data) for name, data in tensors.items()}
         self.exact = all(is_exact(x) for _, flat in (pairing, *raw.values())
                          for x in flat)
 
@@ -571,8 +556,9 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
     ``orthonormalize`` flag.  All-string entries select the exact mode.  A
     colour without ``bold`` gets the partner :func:`partner_name` gives.
     Every listed colour needs a tensor.  ``dim``, valences, inputs and
-    outputs are JSON integers, and the pairing and each tensor are JSON
-    lists; anything else raises :class:`AlgebraError` naming the field.
+    outputs are JSON integers, the pairing and each tensor are JSON lists,
+    and ``orthonormalize`` is a JSON boolean; anything else raises
+    :class:`AlgebraError` naming the field.
     """
     data = json.loads(src) if isinstance(src, str) else src
     try:
@@ -599,6 +585,10 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
         for c in colours:
             if c["name"] not in tensors:
                 raise AlgebraError(f"colour {c['name']!r} has no tensor")
+        orthonormalize = data.get("orthonormalize", False)
+        if not isinstance(orthonormalize, bool):
+            raise AlgebraError("orthonormalize must be a boolean, not"
+                               f" {orthonormalize!r}")
     except KeyError as exc:
         raise AlgebraError(f"algebra file lacks field {exc}") from None
     except (TypeError, AttributeError) as exc:
@@ -607,6 +597,4 @@ def load_algebra(src: str | dict) -> AlgebraSpec:
         raise AlgebraError(str(exc)) from None
 
     spec = AlgebraSpec(dim, pairing, table, tensors)
-    if data.get("orthonormalize"):
-        spec = spec.orthonormalized()
-    return spec
+    return spec.orthonormalized() if orthonormalize else spec

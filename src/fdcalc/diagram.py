@@ -260,10 +260,11 @@ def build_diagram(vertices: list[tuple[str, str, tuple[int, ...]]] | list[Vertex
     """Validating constructor from raw vertex data and an involution.
 
     ``vertices`` entries are Vertex values or ``(kind, colour, slots)``
-    triples (coupon triples use ``(kind, colour, (ins, outs))``).  When a
-    colour table is given, colours must exist in it with the right kind and
-    arity, and the special flag is taken from it.  ``matching`` must be an
-    involution without fixed points; ``bare`` adds vertex-free edges.
+    triples of symmetric or cyclic vertices; a coupon needs a Vertex, which
+    holds its input count.  When a colour table is given, colours must exist
+    in it with the right kind and arity, and the special flag is taken from
+    it.  ``matching`` must be an involution without fixed points; ``bare``
+    adds vertex-free edges.
     """
     vs: list[Vertex] = []
     for raw in vertices:
@@ -271,11 +272,7 @@ def build_diagram(vertices: list[tuple[str, str, tuple[int, ...]]] | list[Vertex
             v = raw
         else:
             kind, colour, slots = raw
-            if kind == "coupon":
-                s_in, s_out = slots  # type: ignore[misc]
-                v = Vertex(kind, colour, tuple(s_in) + tuple(s_out), n_in=len(s_in))
-            else:
-                v = Vertex(kind, colour, tuple(slots))
+            v = Vertex(kind, colour, tuple(slots))
         if table is not None:
             entry = table[v.colour]
             arity = (len(v.ins), len(v.outs)) if v.kind == "coupon" else v.valence

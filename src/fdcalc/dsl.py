@@ -15,11 +15,13 @@ are REF slots 1 and 2.  Cyclic slot order is the written order; coupon
 slots list the m inputs first.  With a header every end must be wired or
 numbered and the in/out indices must fill 1..m and 1..n; without one the
 unused ends are the diagram's legs and in/out statements are rejected.
-``#`` starts a comment.
+``#`` starts a comment.  Names are ``[A-Za-z_][A-Za-z0-9_]*`` and numbers
+are ASCII digits; any other character outside a comment or whitespace is
+refused as a stray character at its line and column.
 
 Colour tables are one colour per line: kind, valence, name,
 ``ordinary``/``special``, and the bold partner's name (``-`` for special
-colours).
+colours).  Valences and coupon arities are ASCII digits too.
 """
 
 import re
@@ -28,9 +30,11 @@ import sys
 from .colours import (
     KIND_OF_SHORT, KIND_SHORT, ColourEntry, ColourTable, ColourTableError,
 )
-from .diagram import DiagramError, TypedDiagram, build_diagram
+from .diagram import DiagramError, TypedDiagram, Vertex, build_diagram
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[().,=;-]|#[^\n]*|\s+|.")
+# Three groups: what is skipped, a token, and a stray character.
+_TOKEN = re.compile(
+    r"(#[^\n]*|\s+)|([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[().,=;-])|(.)")
 
 
 class ParseError(ValueError):
@@ -40,78 +44,61 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Token:
-    __slots__ = ("text", "line", "column")
-
-    def __init__(self, text, line, column):
-        self.text = text
-        self.line = line
-        self.column = column
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    line, column = 1, 1
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if not tok.isspace() and not tok.startswith("#"):
-            if not (tok.isdigit() or tok.isidentifier()
-                    or tok in "().,=;-"):
-                raise ParseError(f"stray character {tok!r}", line, column)
-            out.append(_Token(tok, line, column))
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            column = 1 + len(tok) - tok.rfind("\n") - 1
-        else:
-            column += len(tok)
-    return out
-
-
 class _Cursor:
-    def __init__(self, tokens: list[_Token], text: str):
-        self.tokens = tokens
-        self.pos = 0
+    """The tokens of a text as ``(text, line, column)`` tuples, ending in a
+    ``None`` token at the end of the text, and a position among them."""
+
+    def __init__(self, text: str):
+        self.tokens = []
+        line, start = 1, 0
+        for m in _TOKEN.finditer(text):
+            skip, token, stray = m.groups()
+            column = m.start() - start + 1
+            if stray is not None:
+                raise ParseError(f"stray character {stray!r}", line, column)
+            if token is not None:
+                self.tokens.append((token, line, column))
+            elif "\n" in skip:
+                line += skip.count("\n")
+                start = m.start() + skip.rfind("\n") + 1
         lines = text.splitlines() or [""]
         self.end = (len(lines), len(lines[-1]) + 1)
+        self.tokens.append((None, *self.end))
+        self.pos = 0
 
     def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos].text
-        return None
+        return self.tokens[self.pos][0]
 
     def where(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            t = self.tokens[self.pos]
-            return t.line, t.column
-        return self.end
+        return self.tokens[self.pos][1:]
 
     def fail(self, message: str):
         raise ParseError(message, *self.where())
 
-    def take(self, what: str | None = None) -> _Token:
-        if self.pos >= len(self.tokens):
-            self.fail(f"expected {what!r}" if what else "expected more input")
-        t = self.tokens[self.pos]
-        if what is not None and t.text != what:
-            self.fail(f"expected {what!r}")
+    def take(self, what: str, test=None) -> str:
+        """The next token, when it is ``what`` or passes ``test``.  Otherwise
+        fail with ``expected 'what'``, or ``expected what`` when ``what``
+        names the test."""
+        text = self.peek()
+        if text is None or not (test(text) if test else text == what):
+            self.fail(f"expected {what}" if test else f"expected {what!r}")
         self.pos += 1
-        return t
+        return text
 
     def nat(self) -> int:
-        if self.pos >= len(self.tokens) or not self.tokens[self.pos].text.isdigit():
-            self.fail("expected a number")
-        self.pos += 1
-        return int(self.tokens[self.pos - 1].text)
+        return int(self.take("a number", str.isdigit))
 
-    def ident(self, what: str = "a name") -> str:
-        if self.pos >= len(self.tokens):
-            self.fail(f"expected {what}")
-        t = self.tokens[self.pos]
-        if not t.text.isidentifier():
-            self.fail(f"expected {what}")
-        self.pos += 1
-        return t.text
+    def ident(self, what: str) -> str:
+        return self.take(what, str.isidentifier)
+
+    def arity(self) -> tuple[int, int]:
+        """``(m,n)``, in a ``type`` header or a ``coupon`` kind."""
+        self.take("(")
+        m = self.nat()
+        self.take(",")
+        n = self.nat()
+        self.take(")")
+        return m, n
 
 
 def _parse_ref(c: _Cursor):
@@ -128,65 +115,54 @@ def parse_diagram(text: str, table: ColourTable | None = None):
     With ``table``, colours are validated against it and special colours
     mark their vertices; without one every vertex is ordinary.
     """
-    c = _Cursor(_tokenize(text), text)
+    c = _Cursor(text)
     header = None
     if c.peek() == "type":
         c.take("type")
-        c.take("(")
-        m = c.nat()
-        c.take(",")
-        n = c.nat()
-        c.take(")")
-        header = (m, n)
+        header = c.arity()
 
-    order: list[tuple[str, str]] = []
+    # Half-edges are numbered in statement order, and ``ends`` holds the
+    # range of each vertex and wire.  Slot tuples are built only once the
+    # whole text has parsed, so a later error is reported before a long
+    # ``legs`` count is spent.
+    ends: dict[str, range] = {}
     vertices: dict[str, tuple] = {}
-    wires: dict[str, tuple] = {}
     edges: list[tuple] = []
     ins: dict[int, tuple] = {}
     outs: dict[int, tuple] = {}
-
-    def fresh_name(name, where):
-        if name in vertices or name in wires:
-            raise ParseError(f"name {name!r} already used", *where)
+    base = 0
 
     while c.peek() is not None:
         stmt = c.peek()
         where = c.where()
-        if stmt == "vertex":
-            c.take("vertex")
-            name = c.ident("a vertex name")
-            fresh_name(name, where)
-            kind_tok = c.ident("a vertex kind")
-            if kind_tok not in KIND_OF_SHORT:
-                raise ParseError(f"unknown kind {kind_tok!r}", *where)
-            kind = KIND_OF_SHORT[kind_tok]
-            n_in = None
-            if kind == "coupon":
-                c.take("(")
-                n_in = c.nat()
-                c.take(",")
-                n_out = c.nat()
-                c.take(")")
-            colour = c.ident("a colour name")
-            c.take("legs")
-            valence = c.nat()
-            if kind == "coupon" and valence != n_in + n_out:
-                raise ParseError("coupon arity does not match legs", *where)
-            if valence < 1:
-                raise ParseError("a vertex needs at least one leg", *where)
-            if valence > sys.maxsize:
-                raise ParseError("too many legs to number", *where)
+        if stmt in ("vertex", "wire"):
+            c.take(stmt)
+            name = c.ident(f"a {stmt} name")
+            if name in ends:
+                raise ParseError(f"name {name!r} already used", *where)
+            valence = 2
+            if stmt == "vertex":
+                kind_tok = c.ident("a vertex kind")
+                if kind_tok not in KIND_OF_SHORT:
+                    raise ParseError(f"unknown kind {kind_tok!r}", *where)
+                kind = KIND_OF_SHORT[kind_tok]
+                n_in = None
+                if kind == "coupon":
+                    n_in, n_out = c.arity()
+                colour = c.ident("a colour name")
+                c.take("legs")
+                valence = c.nat()
+                if kind == "coupon" and valence != n_in + n_out:
+                    raise ParseError("coupon arity does not match legs",
+                                     *where)
+                if valence < 1:
+                    raise ParseError("a vertex needs at least one leg", *where)
+                if valence > sys.maxsize:
+                    raise ParseError("too many legs to number", *where)
+                vertices[name] = (kind, colour, n_in)
             c.take(";")
-            vertices[name] = (kind, colour, valence, n_in)
-            order.append(("vertex", name))
-        elif stmt == "wire":
-            c.take("wire")
-            name = c.ident("a wire name")
-            fresh_name(name, where)
-            c.take(";")
-            wires[name] = ()
-            order.append(("wire", name))
+            ends[name] = range(base, base + valence)
+            base += valence
         elif stmt == "edge":
             c.take("edge")
             a = _parse_ref(c)
@@ -207,44 +183,21 @@ def parse_diagram(text: str, table: ColourTable | None = None):
         else:
             c.fail("expected a statement")
 
-    base = 0
-    starts: dict[str, int] = {}
-    raw_vertices = []
-    bare = []
-    for what, name in order:
-        starts[name] = base
-        if what == "vertex":
-            kind, colour, valence, n_in = vertices[name]
-            slots = tuple(range(base, base + valence))
-            if kind == "coupon":
-                raw_vertices.append((kind, colour, (slots[:n_in],
-                                                    slots[n_in:])))
-            else:
-                raw_vertices.append((kind, colour, slots))
-            base += valence
-        else:
-            bare.append((base, base + 1))
-            base += 2
-
-    used: dict[int, tuple] = {}
+    used: set[int] = set()
 
     def resolve(ref, slots_only=False):
         name, slot, where = ref
-        if name in vertices:
-            valence = vertices[name][2]
-        elif name in wires:
-            if slots_only:
-                raise ParseError("edges join vertex slots; route wires"
-                                 " through in/out", *where)
-            valence = 2
-        else:
+        if name not in ends:
             raise ParseError(f"unknown vertex or wire {name!r}", *where)
-        if not 1 <= slot <= valence:
+        if slots_only and name not in vertices:
+            raise ParseError("edges join vertex slots; route wires"
+                             " through in/out", *where)
+        if not 1 <= slot <= len(ends[name]):
             raise ParseError("slot out of range", *where)
-        h = starts[name] + slot - 1
+        h = ends[name][slot - 1]
         if h in used:
             raise ParseError(f"{name}.{slot} is already connected", *where)
-        used[h] = where
+        used.add(h)
         return h
 
     matching: dict[int, int] = {}
@@ -257,7 +210,12 @@ def parse_diagram(text: str, table: ColourTable | None = None):
     out_map = {k: resolve(ref) for k, ref in sorted(outs.items())}
 
     try:
-        d = build_diagram(raw_vertices, matching, table, bare)
+        d = build_diagram(
+            [Vertex(kind, colour, tuple(ends[name]), n_in)
+             for name, (kind, colour, n_in) in vertices.items()],
+            matching, table,
+            [tuple(span) for name, span in ends.items()
+             if name not in vertices])
     except (DiagramError, ColourTableError) as exc:
         raise ParseError(str(exc), *c.end) from exc
 
@@ -336,7 +294,7 @@ def parse_table(text: str) -> ColourTable:
             raise ParseError("expected: kind valence name"
                              " ordinary|special bold-partner", lineno, 1)
         kind_tok, valence_tok, name, role, bold = fields
-        m = re.fullmatch(r"coupon\((\d+),(\d+)\)", kind_tok)
+        m = re.fullmatch(r"coupon\(([0-9]+),([0-9]+)\)", kind_tok)
         if m:
             arity: int | tuple = (int(m.group(1)), int(m.group(2)))
             kind = "coupon"
@@ -345,7 +303,7 @@ def parse_table(text: str) -> ColourTable:
             kind = KIND_OF_SHORT[kind_tok]
         else:
             raise ParseError(f"unknown kind {kind_tok!r}", lineno, 1)
-        if not valence_tok.isdigit():
+        if not re.fullmatch("[0-9]+", valence_tok):
             raise ParseError("valence must be a number", lineno, 1)
         valence = int(valence_tok)
         if kind == "coupon":

@@ -35,7 +35,8 @@ from math import factorial, pi, prod, sqrt
 from typing import TYPE_CHECKING
 
 from .poly import (
-    SYMMETRY_TOL, Poly, exponent_vectors, integer_form, invert_exact, is_exact,
+    SYMMETRY_TOL, Poly, exponent_vectors, has_shape, integer_form,
+    invert_exact, is_exact, row_major,
 )
 
 if TYPE_CHECKING:
@@ -61,8 +62,11 @@ class GaussianError(ValueError):
 class GaussianSpec:
     """The weight exp(-q(v)/2) dv on R^dim, normalized to total mass one.
 
-    ``pairing`` is the matrix of the quadratic form q.  It must be symmetric
-    and positive definite.  Rational entries must be exactly symmetric, and
+    ``pairing`` is the matrix of the quadratic form q, read as
+    :class:`fdcalc.algebra.AlgebraSpec` reads its pairing: nested lists or
+    an array, or dim² row-major entries, exact when every entry is an int
+    or a Fraction (numpy ints too).  It must be symmetric and positive
+    definite.  Rational entries must be exactly symmetric, and
     float entries to within ``SYMMETRY_TOL``, the tolerance that
     :class:`fdcalc.algebra.AlgebraSpec` holds its pairing to.  With rational
     entries one exact elimination checks definiteness and inverts the
@@ -86,15 +90,13 @@ class GaussianSpec:
     """
 
     def __init__(self, dim: int, pairing):
-        mat = [list(row) for row in pairing]
-        if len(mat) != dim or any(len(row) != dim for row in mat):
+        read = row_major(pairing)
+        if not has_shape(read, (dim, dim)):
             raise GaussianError("pairing must be a dim x dim matrix")
         self.dim = dim
-        self.exact = all(is_exact(x) for row in mat for x in row)
-        if self.exact:
-            mat = [[Fraction(x) for x in row] for row in mat]
-        else:
-            mat = [[float(x) for x in row] for row in mat]
+        self.exact = all(is_exact(x) for x in read[1])
+        flat = [Fraction(x) if self.exact else float(x) for x in read[1]]
+        mat = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
         tol = 0 if self.exact else SYMMETRY_TOL
         for i in range(dim):
             for j in range(i):
@@ -105,7 +107,7 @@ class GaussianSpec:
             if not all(p is not None and p > 0 for p in pivots):
                 raise GaussianError("pairing must be positive definite")
             nums, self._den = integer_form(x for row in inverse for x in row)
-            self._cov = [nums[i:i + dim] for i in range(0, len(nums), dim)]
+            self._cov = [nums[i * dim:(i + 1) * dim] for i in range(dim)]
         else:
             import numpy as np
             for k in range(1, dim + 1):
@@ -285,6 +287,8 @@ def quadrature_average(p: Poly, g: GaussianSpec) -> float:
     positive-diagonal factorization of its inverse, so the rule is exact for
     polynomials within the degree bound of the chosen order.
     """
+    if p.dim != g.dim:
+        raise GaussianError("polynomial and weight live on different spaces")
     if g.dim > QUAD_DIM_LIMIT:
         raise GaussianError(f"quadrature limited to {QUAD_DIM_LIMIT} axes")
     import numpy as np
@@ -360,6 +364,8 @@ def average_with_potential(f: Poly, a: AlgebraSpec,
     single finite Gaussian moment.  Parity makes every odd combination
     vanish rather than fail.
     """
+    if f.dim != a.dim:
+        raise GaussianError("polynomial and weight live on different spaces")
     if not 0 <= max_order <= POTENTIAL_ORDER_LIMIT:
         raise GaussianError(
             f"expansion order capped at {POTENTIAL_ORDER_LIMIT}")

@@ -7,8 +7,10 @@ so exact and numeric pipelines share the type.
 The module also holds the one exact elimination, ``invert_exact``, which
 gives the copairing of an algebra and the covariance of a Gaussian weight
 together with the pivots behind its positivity check, ``integer_form``,
-which lets exact arithmetic run on Python ints, and ``exponent_vectors``,
-which turns the index tuples of a dense tensor into monomials.
+which lets exact arithmetic run on Python ints, ``exponent_vectors``,
+which turns the index tuples of a dense tensor into monomials, and
+``row_major``, which reads a matrix or tensor, nested or flat, list or
+array, as its row-major entries for an algebra and a Gaussian weight alike.
 ``SYMMETRY_TOL`` is the tolerance to which a float pairing matrix must be
 symmetric, in an algebra and in a Gaussian weight alike.
 """
@@ -94,6 +96,27 @@ def exponent_vectors(dim: int, n: int) -> list[tuple[int, ...]]:
         vectors = [e[:i] + (e[i] + 1,) + e[i + 1:]
                    for e in vectors for i in range(dim)]
     return vectors
+
+
+def row_major(data) -> tuple[tuple[int, ...], list]:
+    """The shape and the row-major entries of nested lists, read the way
+    numpy reads them; an array, at any depth, is read through its
+    ``tolist``."""
+    shape, level = [], [data]
+    while True:
+        level = [x.tolist() if hasattr(x, "tolist") else x for x in level]
+        if not (all(isinstance(x, (list, tuple)) for x in level)
+                and len({len(x) for x in level}) == 1):
+            return tuple(shape), level
+        shape.append(len(level[0]))
+        level = [y for x in level for y in x]
+
+
+def has_shape(read, shape: tuple[int, ...]) -> bool:
+    """Whether what :func:`row_major` read holds a tensor of ``shape``:
+    nested to that shape, or flat with as many entries."""
+    got, flat = read
+    return got == shape or (len(got) == 1 and len(flat) == math.prod(shape))
 
 
 def integer_form(values) -> tuple[tuple[int, ...], int]:

@@ -783,6 +783,8 @@ WRONG_FIELDS = [
                                           outputs=True), "outputs"),
     (lambda doc: doc.__setitem__("pairing", "1"), "pairing"),
     (lambda doc: doc["tensors"].__setitem__("phi4", "1"), "tensor 'phi4'"),
+    (lambda doc: doc.__setitem__("orthonormalize", "false"), "orthonormalize"),
+    (lambda doc: doc.__setitem__("orthonormalize", 1), "orthonormalize"),
 ]
 
 

@@ -429,6 +429,8 @@ BAD_ALGEBRAS = {
     "colour table": ({"colours": [{"name": "phi4", "kind": "sym",
                                    "valence": 4, "bold": "1x"}]},
                      "bad colour name '1x'"),
+    "orthonormalize": ({"orthonormalize": "false"},
+                       "orthonormalize must be a boolean, not 'false'"),
 }
 
 

@@ -106,7 +106,10 @@ def test_build_diagram_checks_table():
      "relabelling must be injective"),
     (lambda: build_diagram([("symmetric", "x", (0, 1))], {0: 0, 1: 1}),
      "matching fixes half-edge 0"),
-], ids=["root pairs", "colour index", "relabel", "fixed point"])
+    (lambda: build_diagram([("coupon", "t", (0, 1))], {}),
+     "coupon vertex needs n_in"),
+], ids=["root pairs", "colour index", "relabel", "fixed point",
+        "coupon triple"])
 def test_refusals_name_their_fault(make, message):
     with pytest.raises(DiagramError, match=message):
         make()

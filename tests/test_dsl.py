@@ -1,5 +1,8 @@
 """Diagram language and colour-table file round-trips."""
 
+import random
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 
@@ -214,3 +217,69 @@ def test_table_files_round_trip():
 def test_table_file_errors(line, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_table(line)
+
+
+def test_non_ascii_characters_are_refused_at_their_position():
+    # A superscript, an Arabic-Indic and a fullwidth digit, and a letter.
+    for text, column in [("vertex a sym x legs \u00b2;", 21),
+                         ("vertex a sym x legs \u0663;", 21),
+                         ("vertex a sym x legs 2\uff19;", 22),
+                         ("vertex \u00e9 sym x legs 2;", 8)]:
+        with pytest.raises(ParseError, match=f"^line 1, column {column}: "
+                                             "stray character"):
+            parse_diagram(text)
+    for line in ["sym \u0663 phi3 ordinary PHI3",
+                 "sym 4\u00b2 phi4 ordinary PHI4"]:
+        with pytest.raises(ParseError, match="valence must be a number"):
+            parse_table(line)
+    with pytest.raises(ParseError, match="unknown kind"):
+        parse_table("coupon(2,\u0662) 4 t22 ordinary T22")
+
+
+# Tokens and characters that mutate a valid text: ASCII tokens and
+# separators, and characters that pass str.isdigit or str.isidentifier
+# without being ASCII.
+FUZZ_PIECES = ["vertex", "wire", "edge", "in", "out", "type", "legs", "sym",
+               "cyc", "coupon", "special", "(", ")", ",", ".", "=", ";", "-",
+               "#", "\n", " ", "\t", "0", "1", "9", "12", "a", "_", "@",
+               "\u00b2", "\u0663", "\uff19", "\u00e9"]
+
+
+def _mutated(text, rng):
+    """``text`` after one to three random insertions, deletions or
+    replacements of a piece."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        piece = rng.choice(FUZZ_PIECES)
+        text = rng.choice([text[:i] + piece + text[i:],
+                           text[:i] + text[i + len(piece):],
+                           text[:i] + piece + text[i + 1:]])
+    return text
+
+
+def test_parsers_raise_only_parse_errors_with_positions():
+    rng = random.Random(28)
+    typed = ("type (2,4)\nvertex k coupon(2,2) t22 legs 4;\n"
+             "vertex a sym phi4 legs 4;\nwire w;\n"
+             "edge k.3 - a.1; edge k.4 - a.2;\nin 1 = k.1; in 2 = k.2;\n"
+             "out 1 = a.3; out 2 = a.4; out 3 = w.1; out 4 = w.2;\n")
+    diagrams = [(None, typed)] + [
+        (table, serialize_diagram(cls.rep)) for table in ALL_TABLES
+        for cls in enumerate_closed(table, max_degree=6)]
+    tables = [format_table(t) for t in ALL_TABLES]
+    cases = [(parse_diagram, "vertex a sym x legs \u00b2;"),
+             (parse_table, "sym 4\u00b2 phi4 ordinary PHI4")]
+    for _ in range(3000):
+        table, text = rng.choice(diagrams)
+        cases.append((partial(parse_diagram, table=rng.choice([None, table])),
+                      _mutated(text, rng)))
+        cases.append((parse_table, _mutated(rng.choice(tables), rng)))
+    for parse, text in cases:
+        try:
+            parse(text)
+        except ParseError as err:
+            assert err.line >= 1 and err.column >= 1
+            assert str(err).startswith(
+                f"line {err.line}, column {err.column}: ")
+        except Exception as exc:
+            pytest.fail(f"{text!r} raised {exc!r}")

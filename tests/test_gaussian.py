@@ -132,6 +132,36 @@ def test_moment_and_average_refuse_other_spaces():
     with pytest.raises(GaussianError,
                        match="polynomial and weight live on different spaces"):
         poly_average(Poly(3, {(1, 1, 0): F(1)}), g)
+    plane = Poly(2, {(2, 0): F(1), (0, 2): F(1)})
+    with pytest.raises(GaussianError,
+                       match="polynomial and weight live on different spaces"):
+        quadrature_average(plane, GaussianSpec(1, [[1]]))
+    with pytest.raises(GaussianError,
+                       match="polynomial and weight live on different spaces"):
+        average_with_potential(plane, ones_algebra(quartic_table()))
+
+
+@pytest.mark.parametrize("pairing, exact", [
+    (PD2, True),
+    ([2, 1, 1, 1], True),
+    (np.array([[2, 1], [1, 1]]), True),
+    (np.array([[2.0, 1.0], [1.0, 1.0]]), False),
+], ids=["nested", "flat", "numpy int", "numpy float"])
+def test_weight_reads_its_pairing_as_an_algebra_does(pairing, exact):
+    g = GaussianSpec(2, pairing)
+    assert g.exact is exact
+    assert AlgebraSpec(2, pairing, quartic_table(), {}).exact is exact
+    nested = GaussianSpec(2, PD2)
+    for idx in [(0, 0), (0, 1), (1, 1), (0, 0, 0, 0), (0, 0, 1, 1),
+                (0, 1, 1, 1)]:
+        assert g.moment(idx) == nested.moment(idx)
+        assert isinstance(g.moment(idx), F if exact else float)
+
+
+def test_zero_dimensional_weight():
+    g = GaussianSpec(0, [])
+    assert g.moment(()) == 1
+    assert g.pairing.shape == g.covariance.shape == (0, 0)
 
 
 def test_wick_moment_frozen_values():

@@ -138,6 +138,17 @@ def test_series_text_is_pinned():
     assert str(diff) == "1 + 1/128*phi4^2 + 5/192*phi3^2*phi4 (+O^11)"
 
 
+def test_truncate_keeps_the_terms_within_the_new_bound():
+    # phi4 weighs 4 and phi3 weighs 3: at 6, phi3^2 stays, phi3*phi4 goes.
+    s = series(12, **{"": 1, "x1": 2, "g1": 3, "x2": 5, "x1g1": 7, "g2": 11,
+                      "x3": 13})
+    t = s.truncate(6)
+    assert t == series(6, **{"": 1, "x1": 2, "g1": 3, "g2": 11})
+    assert t == MultiSeries(s.coeffs, 6)
+    assert str(t) == "1 + 3*phi3 + 2*phi4 + 11*phi3^2 (+O^7)"
+    assert s.truncate(12) == s
+
+
 def test_domain_errors():
     x = var(X, 8)
     with pytest.raises(ValueError, match="exp needs a vanishing constant term"):
