@@ -42,7 +42,7 @@ from .diagram import (
     star_for,
 )
 from .generate import closure_orbits, star_bases
-from .iso import aut_order
+from .iso import automorphism_generators
 from .poly import (
     SYMMETRY_TOL, Poly, exponent_vectors, has_shape, integer_form,
     invert_exact, is_exact, row_major,
@@ -63,12 +63,12 @@ class AlgebraError(ValueError):
 # A tensor with ``dim`` values per axis is a flat sequence of its entries in
 # row-major order.
 
-def _as_tensor(entries, shape: tuple[int, ...], exact: bool) -> list:
+def _as_tensor(read, shape: tuple[int, ...]) -> list:
     """The entries that :func:`fdcalc.poly.row_major` read, checked against
-    ``shape`` and converted to Fractions or floats."""
-    if not has_shape(entries, shape):
-        raise AlgebraError(f"tensor has shape {entries[0]}, expected {shape}")
-    return [Fraction(x) if exact else float(x) for x in entries[1]]
+    ``shape``."""
+    if not has_shape(read, shape):
+        raise AlgebraError(f"tensor has shape {read[0]}, expected {shape}")
+    return read[1]
 
 
 def _transposed(vals, dim: int, perm) -> list:
@@ -91,25 +91,6 @@ def _equal(x: list, y: list, exact: bool) -> bool:
     return all(abs(u - v) <= SYMMETRY_TOL for u, v in zip(x, y))
 
 
-def _rotations(n: int):
-    """The one rotation that generates the cyclic group on n slots."""
-    return [tuple(range(1, n)) + (0,)] if n > 1 else []
-
-
-def _permutations(n: int):
-    """A transposition plus the n-cycle, which generate the symmetric group
-    on n slots (for n = 2 the two coincide)."""
-    if n < 2:
-        return []
-    return [(1, 0) + tuple(range(2, n))] + (_rotations(n) if n > 2 else [])
-
-
-# The generators of the group each kind's tensors must be invariant under,
-# and the word that names that invariance.
-_GROUPS = {"cyclic": (_rotations, "rotation"),
-           "symmetric": (_permutations, "permutation")}
-
-
 # -- the algebra --------------------------------------------------------------
 
 class AlgebraSpec:
@@ -120,15 +101,21 @@ class AlgebraSpec:
     first, then outputs, matching slot order.  The mode is inferred: when
     the pairing and all tensor entries are ints or Fractions the algebra
     computes exactly, otherwise in doubles.  Cyclic and symmetric tensors
-    must carry the invariance their kind promises; this is checked at
-    construction on generators of the group: the one rotation, or a
-    transposition plus the rotation.  Exactly, that is the whole group,
-    compared on the tensor's integer numerators; in doubles each generator
-    is held to ``SYMMETRY_TOL``, and longer words may drift a little more.
+    must carry the invariance their kind promises.  One canonical search of
+    each colour's star, :func:`fdcalc.iso.automorphism_generators`, gives
+    |Aut star|, which :func:`interaction_terms` divides by, and generators
+    of that group: the one rotation of a cyclic star, the n - 1 adjacent
+    transpositions of a symmetric n-star, none for a coupon.  Each tensor is
+    checked against every generator at construction.  Exactly, that is the
+    whole group, compared on the tensor's integer numerators; in doubles
+    each generator is held to ``SYMMETRY_TOL``, and longer words may drift
+    a little more.
 
-    Every operand is kept as its row-major entries over a denominator, 1
-    for floats, and the numpy arrays ``pairing``, ``copairing``, ``eye`` and
-    ``tensors`` are built only when they are read.
+    Every entry is converted once, into its operand form: its row-major
+    entries over a denominator, 1 for floats.  The pairing is checked and
+    inverted from that form, and the numpy arrays ``pairing``,
+    ``copairing``, ``eye`` and ``tensors`` are built only when they are
+    read.
     """
 
     def __init__(self, dim: int, pairing, table: ColourTable, tensors: dict):
@@ -142,36 +129,44 @@ class AlgebraSpec:
         self.exact = all(is_exact(x) for _, flat in (pairing, *raw.values())
                          for x in flat)
 
-        flat = _as_tensor(pairing, (dim, dim), self.exact)
+        self._pairing = self._form(_as_tensor(pairing, (dim, dim)))
+        flat, den = list(self._pairing[0]), self._pairing[1]
         if not _equal(flat, _transposed(flat, dim, (1, 0)), self.exact):
             raise AlgebraError("pairing matrix must be symmetric")
         rows = [flat[i * dim:(i + 1) * dim] for i in range(dim)]
         if self.exact:
+            # The pairing is its numerators over den, so its inverse is
+            # den times theirs.
             inverse, _ = invert_exact(rows)
             if inverse is None:
                 raise AlgebraError("pairing matrix is singular")
+            inverse = [x * den for row in inverse for x in row]
         else:
             import numpy as np
             if np.linalg.cond(rows) > COND_LIMIT:
                 raise AlgebraError("pairing matrix is ill conditioned")
-            inverse = np.linalg.inv(rows)
-        self._pairing, self._copairing, self._eye = map(self._form, (
-            flat, [x for row in inverse for x in row],
-            [int(i == j) for i in range(dim) for j in range(dim)]))
+            inverse = np.linalg.inv(rows).ravel()
+        self._copairing, self._eye = map(self._form, (
+            inverse, [int(i == j) for i in range(dim) for j in range(dim)]))
 
         self._ordinary_of = {e.bold: e.name for e in table.ordinary()}
-        self._tensors = {}
+        self._tensors, self._aut = {}, {}
         for name, data in raw.items():
             entry = table[name]
             if entry.special:
                 raise AlgebraError(
                     f"tensors attach to ordinary colours, not {name!r}")
-            form = self._form(_as_tensor(data, (dim,) * entry.valence,
-                                         self.exact))
+            form = self._form(_as_tensor(data, (dim,) * entry.valence))
             vals = list(form[0])
-            generators, word = _GROUPS.get(entry.kind, (lambda n: [], ""))
-            for perm in generators(entry.valence):
-                if not _equal(vals, _transposed(vals, dim, perm), self.exact):
+            self._aut[name], generators = automorphism_generators(
+                star_for(entry))
+            # A star's slots are the half-edges 0..n-1 in slot order, so a
+            # generator read in that order permutes the tensor's axes.
+            for g in generators:
+                image = _transposed(vals, dim, [g[h] for h in sorted(g)])
+                if not _equal(vals, image, self.exact):
+                    word = ("rotation" if entry.kind == "cyclic"
+                            else "permutation")
                     raise AlgebraError(
                         f"tensor {name!r} is not {word} invariant")
             self._tensors[name] = form
@@ -339,11 +334,6 @@ def _contract(ops: list[tuple[object, list]], ext: list,
     of the denominators is divided out once at the end.  Returns the
     entries of the result over the labels ``ext``, in row-major order.
     """
-    counts = Counter(L for _, labs in ops for L in labs if isinstance(L, int))
-    for lab in sorted(counts):
-        if counts[lab] != 2:
-            raise AlgebraError(f"label {lab} appears {counts[lab]} times")
-
     dim = a.dim
     dot = _dot_exact if a.exact else _dot_float
     scale = 1
@@ -453,12 +443,12 @@ def interaction_terms(a: AlgebraSpec) -> tuple[tuple[VariableKey, Poly], ...]:
     """Interaction terms: one (variable, star polynomial / |Aut star|) per
     ordinary colour of ``a``'s table.  The star's own automorphisms supply
     the weight, which lands on 1/n! for symmetric, 1/n for cyclic and 1 for
-    coupon colours.
+    coupon colours; |Aut star| is the one ``a`` found when it was built.
     """
     out = []
     for entry in sorted(a.table.ordinary(), key=lambda e: e.name):
         star = star_for(entry)
-        p = leg_polynomial(star, a) * Fraction(1, aut_order(star))
+        p = leg_polynomial(star, a) * Fraction(1, a._aut[entry.name])
         out.append((variable_for(a.table, entry.name), p))
     return tuple(out)
 

@@ -235,11 +235,8 @@ def parse_diagram(text: str, table: ColourTable | None = None):
     unused = [h for h in d.legs if h not in used]
     if unused:
         raise ParseError("typed diagrams may not leave ends loose", *c.end)
-    try:
-        return TypedDiagram(d, tuple(in_map[k] for k in range(1, m + 1)),
-                            tuple(out_map[k] for k in range(1, n + 1)))
-    except DiagramError as exc:
-        raise ParseError(str(exc), *c.end) from exc
+    return TypedDiagram(d, tuple(in_map[k] for k in range(1, m + 1)),
+                        tuple(out_map[k] for k in range(1, n + 1)))
 
 
 def serialize_diagram(d) -> str:

@@ -5,7 +5,8 @@ matrix.  Moments of polynomials against it can be computed three ways that
 share no code: summing over pairings (exact, the `wick_moment` tensors and
 the memoized recursion behind `poly_average`), tensor-product Gauss-Hermite
 quadrature after whitening, and the groupoid sums of the diagram modules.
-`frt_check` and `taylor_stars` hold the roads against each other.
+`frt_check` holds the roads against each other, and `taylor_stars` reads
+a polynomial as the interaction sum of its derivative tensors.
 
 Rational inputs stay rational through every pairing sum, and an exact
 weight runs on ``fractions`` alone.  ``GaussianSpec.moment``,
@@ -90,6 +91,8 @@ class GaussianSpec:
     """
 
     def __init__(self, dim: int, pairing):
+        if dim < 0:
+            raise GaussianError("dim must be nonnegative")
         read = row_major(pairing)
         if not has_shape(read, (dim, dim)):
             raise GaussianError("pairing must be a dim x dim matrix")
@@ -434,19 +437,18 @@ class TaylorReport(namedtuple("TaylorReport", "groupoid_sum direct_value")):
 
 
 def taylor_stars(phi: Poly, v) -> TaylorReport:
-    """Rebuild phi(v) from one star diagram per derivative order.
+    """phi(v) as phi(0) plus the interaction sum of its derivative tensors.
 
-    The order-n term attaches n copies of ``v`` to a fully symmetric vertex
-    carrying the order-n derivative tensor of ``phi`` at zero; the diagram
-    machinery supplies the 1/n! through |Aut| of the star.  The report pairs
-    that sum with the plain evaluation phi(v).  The sum is exact when every
-    coefficient and coordinate is an int or a Fraction, in doubles
-    otherwise; the stars' algebra gets the raw entries and converts them.
+    The order-n derivative tensor of ``phi`` at zero is the tensor of a
+    symmetric colour of valence n.  Over the algebra of these tensors,
+    :func:`fdcalc.algebra.interaction_terms` gives each star's leg
+    polynomial over |Aut star| = n!, which is the order-n part of ``phi``.
+    The report pairs phi(0) plus that sum at ``v`` with the plain
+    evaluation phi(v).  The algebra is exact when every coefficient is an
+    int or a Fraction, in doubles otherwise.
     """
-    from .algebra import AlgebraSpec, amplitude
+    from .algebra import AlgebraSpec, interaction_terms
     from .colours import standard_table
-    from .diagram import Diagram, Vertex
-    from .iso import canonical_code
     if phi.degree() > TAYLOR_DEGREE_LIMIT:
         raise GaussianError(f"degree capped at {TAYLOR_DEGREE_LIMIT}")
     dim = phi.dim
@@ -454,33 +456,20 @@ def taylor_stars(phi: Poly, v) -> TaylorReport:
     if len(point) != dim:
         raise GaussianError("point and polynomial dimensions differ")
     direct = phi.evaluate(point)
-    exact = (all(is_exact(c) for c in phi.terms.values())
-             and all(is_exact(x) for x in point))
-    total = phi.terms.get((0,) * dim, Fraction(0) if exact else 0.0)
+    total = phi.terms.get((0,) * dim, 0)
     orders = sorted({sum(e) for e in phi.terms if sum(e)})
     if not orders:
         return TaylorReport(total, direct)
 
-    specs = [("symmetric", f"d{n}", n) for n in orders]
-    specs.append(("symmetric", "vec", 1))
-    tensors = {"vec": list(point)}
+    tensors = {}
     for n in orders:
         flat = []
         for e in exponent_vectors(dim, n):
             c = phi.terms.get(e)
             flat.append(c * prod(factorial(k) for k in e) if c else 0)
         tensors[f"d{n}"] = flat
-    # AlgebraSpec infers the mode from the entries.  A float constant term
-    # is in no tensor, so the identity pairing carries the mode for it.
-    one = 1 if exact else 1.0
-    eye = [[one * (i == j) for j in range(dim)] for i in range(dim)]
-    a = AlgebraSpec(dim, eye, standard_table(*specs), tensors)
-
-    for n in orders:
-        star = Diagram(
-            (Vertex("symmetric", f"d{n}", tuple(range(n))),)
-            + tuple(Vertex("symmetric", "vec", (n + i,)) for i in range(n)),
-            frozenset((i, n + i) for i in range(n)))
-        aut = canonical_code(star).aut_order
-        total = total + amplitude(star, a) / Fraction(aut)
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    table = standard_table(*(("symmetric", f"d{n}", n) for n in orders))
+    for _, p in interaction_terms(AlgebraSpec(dim, eye, table, tensors)):
+        total = total + p.evaluate(point)
     return TaylorReport(total, direct)

@@ -48,6 +48,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly(self.dim, {e: c * other for e, c in self.terms.items()})
+        if other.dim != self.dim:
+            raise ValueError("polynomials live on different spaces")
         acc: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -64,6 +66,8 @@ class Poly:
         return acc
 
     def evaluate(self, point):
+        if len(point) != self.dim:
+            raise ValueError("point and polynomial dimensions differ")
         total = 0
         for e, c in self.terms.items():
             term = c

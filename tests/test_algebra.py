@@ -270,6 +270,29 @@ def test_float_algebra_close_to_exact():
         assert np.allclose(approx, exact, rtol=1e-9, atol=1e-12)
 
 
+def test_mixed_float_entries_read_as_their_float_twin():
+    rng = random.Random(53)
+    exact = frac_algebra(rng)
+
+    def mixed(arr):
+        return [int(x) if x.denominator == 1 else float(x) if k % 2 else x
+                for k, x in enumerate(arr.flat)]
+
+    tensors = {name: mixed(arr) for name, arr in exact.tensors.items()}
+    kinds = {type(x) for flat in tensors.values() for x in flat}
+    assert kinds == {int, F, float}
+    a = AlgebraSpec(2, [[2, F(1, 2)], [0.5, 3.25]], exact.table, tensors)
+    twin = AlgebraSpec(2, [[2.0, 0.5], [0.5, 3.25]], exact.table,
+                       {name: [float(x) for x in flat]
+                        for name, flat in tensors.items()})
+    assert not a.exact and not twin.exact
+    for got, want in [(a.pairing, twin.pairing),
+                      (a.copairing, twin.copairing),
+                      *((a.tensors[n], twin.tensors[n]) for n in tensors)]:
+        assert got.dtype == want.dtype == float
+        assert np.array_equal(got, want)
+
+
 # -- construction guards -------------------------------------------------------
 
 def test_unknown_colour_and_missing_tensor():
@@ -368,6 +391,25 @@ def test_symmetric_check_needs_both_generators(n):
     assert _invariant(two, swap) and not _invariant(two, cycle)
     with pytest.raises(AlgebraError, match="permutation invariant"):
         AlgebraSpec(2, EYE2, table, {"s": two})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetric_check_tries_every_generator(n):
+    # Symmetric in every axis but one: only a generator that moves that axis
+    # sees the fault, whether it is the first axis or the last.
+    rng = random.Random(n)
+    table = standard_table(("symmetric", "s", n))
+    raw = rand_fractions(rng, 2, n)
+    fix_first = [(0,) + p for p in itertools.permutations(range(1, n))]
+    fix_last = [p + (n - 1,) for p in itertools.permutations(range(n - 1))]
+    swap_first = (1, 0) + tuple(range(2, n))
+    swap_last = tuple(range(n - 2)) + (n - 1, n - 2)
+    for perms, swap in [(fix_first, swap_first), (fix_last, swap_last)]:
+        part = sum(raw.transpose(p) for p in perms)
+        assert all(_invariant(part, p) for p in perms)
+        assert not _invariant(part, swap)
+        with pytest.raises(AlgebraError, match="permutation invariant"):
+            AlgebraSpec(2, EYE2, table, {"s": part})
 
 
 def test_cyclic_check_rejects_reflection_only():
@@ -599,6 +641,25 @@ def test_expectation_with_potential_searches_once_per_piece(monkeypatch):
     # No base is searched: the empty root once and each colour's star once.
     assert sorted((args[0] for args in calls), key=repr) == sorted(
         [EMPTY] + [star_for(e) for e in table.ordinary()], key=repr)
+
+
+def test_interaction_terms_reuse_the_construction_search(monkeypatch):
+    # The algebra searches each colour's star once, when it is built, and
+    # interaction_terms divides by that search's |Aut star|.
+    table = mixed_table()
+    search, calls = iso._search, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(iso, "_search", counted)
+    a = ones_algebra(table, dim=2)
+    assert sorted(calls, key=repr) == sorted(
+        (star_for(e) for e in table.ordinary()), key=repr)
+    calls.clear()
+    interaction_terms(a)
+    assert calls == []
 
 
 def test_expectation_of_empty_is_partition_series():

@@ -158,6 +158,13 @@ def test_weight_reads_its_pairing_as_an_algebra_does(pairing, exact):
         assert isinstance(g.moment(idx), F if exact else float)
 
 
+def test_negative_dimension_is_refused():
+    # Each pairing has (-dim)² entries, so it passes the flat shape rule.
+    for dim, pairing in [(-1, [5]), (-2, [1, 2, 3, 4])]:
+        with pytest.raises(GaussianError, match="dim must be nonnegative"):
+            GaussianSpec(dim, pairing)
+
+
 def test_zero_dimensional_weight():
     g = GaussianSpec(0, [])
     assert g.moment(()) == 1
@@ -508,12 +515,22 @@ def test_taylor_random_exact():
         assert r.groupoid_sum == r.direct_value
 
 
+TAYLOR_FLOAT_CASES = [
+    (Poly(2, {(2, 1): 0.5, (0, 2): -1.25, (0, 0): 2.0}), (0.3, -1.7)),
+    # an exact polynomial at a float point
+    (Poly(2, {(2, 1): F(1, 2), (0, 2): F(-5, 4), (0, 0): 2}), (0.3, -1.7)),
+    # a float polynomial at an exact point
+    (Poly(2, {(2, 1): 0.5, (0, 2): -1.25, (0, 0): 2.0}),
+     (F(3, 10), F(-17, 10))),
+]
+
+
 def test_taylor_float_mode():
-    p = Poly(2, {(2, 1): 0.5, (0, 2): -1.25, (0, 0): 2.0})
-    v = (0.3, -1.7)
-    r = taylor_stars(p, v)
-    assert abs(r.groupoid_sum - r.direct_value) <= 1e-10 * max(
-        1.0, abs(r.direct_value))
+    for p, v in TAYLOR_FLOAT_CASES:
+        r = taylor_stars(p, v)
+        assert isinstance(r.groupoid_sum, float)
+        assert abs(r.groupoid_sum - r.direct_value) <= 1e-10 * max(
+            1.0, abs(r.direct_value))
 
 
 def test_taylor_degree_guard():

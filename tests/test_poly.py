@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from fdcalc.poly import Poly, exponent_vectors, integer_form, invert_exact
 
 from bruteforce import exponent_vectors_by_count
@@ -124,3 +126,12 @@ def test_poly_text():
     p = Poly(2, {(2, 0): F(1, 2), (0, 1): 3, (0, 0): 1, (1, 1): 0})
     assert str(p) == "1 + 3*v1 + 1/2*v0^2"
     assert str(Poly(2)) == "0"
+
+
+def test_mixed_dimensions_are_refused():
+    with pytest.raises(ValueError, match="different spaces"):
+        Poly(1, {(1,): 1}) * Poly(2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="dimensions differ"):
+        Poly(2, {(1, 1): 1}).evaluate((3,))
+    with pytest.raises(ValueError, match="dimensions differ"):
+        Poly(1, {(1,): 1}).evaluate((3, 4))
